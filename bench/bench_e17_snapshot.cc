@@ -7,8 +7,9 @@
 //       faster than replaying the equivalent WAL/delta state, and the
 //       gap widens with KB size (mmap is O(taxonomy), replay is O(KB));
 //   (b) id-native execution: scan+join on bare uint32 ids beats the
-//       term-object path (the materialize_terms ablation drags all
-//       three Terms of every visited triple off the heap).
+//       term-object path, which drags all three Terms of every visited
+//       triple off the heap (modelled here by TermObjectSource, a
+//       TripleSource decorator, so the executor itself is unchanged).
 //
 // Plus a micro comparison of FrameStore id scans vs term-object
 // matching, and the snapshot artifact size per triple.
@@ -26,7 +27,9 @@
 #include "core/kb_snapshot.h"
 #include "core/knowledge_base.h"
 #include "query/engine.h"
+#include "rdf/dictionary.h"
 #include "rdf/namespaces.h"
+#include "rdf/triple_source.h"
 #include "storage/env.h"
 
 using namespace kb;
@@ -80,6 +83,72 @@ rdf::TermId BusiestPredicate(const core::KnowledgeBase& kb) {
   }
   return best;
 }
+
+/// Copies the three Terms of a triple out of the heap, keeps a byte
+/// count the optimizer cannot discard, and returns the subject: the
+/// per-visited-triple cost of the pre-frame-store term-object path.
+template <typename TermOf>
+rdf::Term MaterializeTriple(const rdf::Triple& t, const TermOf& term_of) {
+  rdf::Term s = term_of(t.s);
+  const rdf::Term p = term_of(t.p);
+  const rdf::Term o = term_of(t.o);
+  volatile size_t sink = s.value().size() + p.value().size() +
+                         o.value().size();
+  (void)sink;
+  return s;
+}
+
+/// The term-object ablation as a source decorator: every triple a scan
+/// hands the executor has first had its three Terms copied out of the
+/// dictionary. Plans, operators and rows stay identical to the
+/// id-native run over the same snapshot; only that copy differs.
+class TermObjectSource : public rdf::TripleSource {
+ public:
+  TermObjectSource(std::shared_ptr<const rdf::TripleSource> inner,
+                   const rdf::Dictionary* dict)
+      : inner_(std::move(inner)), dict_(dict) {}
+
+  std::unique_ptr<rdf::ScanIterator> NewScan(
+      const rdf::TriplePattern& pattern) const override {
+    return std::make_unique<Iterator>(inner_->NewScan(pattern), dict_,
+                                      &terms_materialized_);
+  }
+  size_t EstimateCount(const rdf::TriplePattern& pattern) const override {
+    return inner_->EstimateCount(pattern);
+  }
+
+  /// Terms copied so far, three per visited triple.
+  uint64_t terms_materialized() const { return terms_materialized_; }
+
+ private:
+  class Iterator : public rdf::ScanIterator {
+   public:
+    Iterator(std::unique_ptr<rdf::ScanIterator> inner,
+             const rdf::Dictionary* dict, uint64_t* counter)
+        : inner_(std::move(inner)), dict_(dict), counter_(counter) {}
+
+    bool Valid() const override { return inner_->Valid(); }
+    const rdf::Triple& Value() const override {
+      const rdf::Triple& t = inner_->Value();
+      MaterializeTriple(t, [this](rdf::TermId id) { return dict_->term(id); });
+      *counter_ += 3;
+      return t;
+    }
+    void Next() override { inner_->Next(); }
+    void Seek(const rdf::Triple& target) override { inner_->Seek(target); }
+    rdf::ScanOrder order() const override { return inner_->order(); }
+    Status status() const override { return inner_->status(); }
+
+   private:
+    std::unique_ptr<rdf::ScanIterator> inner_;
+    const rdf::Dictionary* dict_;
+    uint64_t* counter_;
+  };
+
+  std::shared_ptr<const rdf::TripleSource> inner_;
+  const rdf::Dictionary* dict_;
+  mutable uint64_t terms_materialized_ = 0;
+};
 
 double MedianOf(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
@@ -168,8 +237,8 @@ int main(int argc, char** argv) {
   }
 
   // --- (b) id-native scan+join vs term-object ablation --------------
-  // One fat two-pattern join, repeated; the only difference between
-  // the runs is ExecutionOptions::materialize_terms.
+  // One fat join, repeated over the same store snapshot; the only
+  // difference between the runs is the TermObjectSource wrapper.
   rdf::TermId busiest = BusiestPredicate(kb);
   rdf::TermId type_id =
       kb.store().dict().Lookup(rdf::Term::Iri(std::string(rdf::kRdfType)));
@@ -190,38 +259,52 @@ int main(int argc, char** argv) {
   join.where.push_back({query::QueryTerm::Var("y"),
                         query::QueryTerm::Bound(type_id),
                         query::QueryTerm::Var("c")});
-  query::QueryEngine engine(&kb.store());
+  std::shared_ptr<const rdf::TripleSource> snapshot =
+      kb.store().SnapshotSource();
+  TermObjectSource term_source(snapshot, &kb.store().dict());
+  query::QueryEngine id_engine(snapshot.get());
+  query::QueryEngine term_engine(&term_source);
   const int rounds = static_cast<int>(args.Scaled(60, 30));
-  query::ExecutionOptions id_native;
-  id_native.reorder_patterns = false;  // keep the fat scan first
-  query::ExecutionOptions term_objects;
-  term_objects.reorder_patterns = false;
-  term_objects.materialize_terms = &kb.store().dict();
+  query::ExecutionOptions options;
+  options.reorder_patterns = false;  // keep the fat scan first
 
-  auto time_query = [&](const query::ExecutionOptions& options,
-                        query::QueryStats* stats) {
+  auto time_query = [&](const query::QueryEngine& engine,
+                        query::QueryStats* stats, size_t* rows) {
     engine.Execute(join, options, stats);  // warm (plan cache, pages)
     std::vector<double> samples;
-    size_t rows = 0;
     for (int i = 0; i < rounds; ++i) {
       kbbench::Timer timer;
-      rows = engine.Execute(join, options, stats).size();
+      *rows = engine.Execute(join, options, stats).size();
       samples.push_back(timer.ms());
     }
-    printf("  rows per execution: %zu\n", rows);
     return MedianOf(samples);
   };
 
   printf("\n");
   query::QueryStats id_stats, term_stats;
-  const double id_ms = time_query(id_native, &id_stats);
-  const double term_ms = time_query(term_objects, &term_stats);
+  size_t id_rows = 0, term_rows = 0;
+  const double id_ms = time_query(id_engine, &id_stats, &id_rows);
+  const double term_ms = time_query(term_engine, &term_stats, &term_rows);
+  const uint64_t terms_per_exec =
+      term_source.terms_materialized() / static_cast<uint64_t>(rounds + 1);
+  kbbench::Row("%-32s %12zu", "rows per execution", id_rows);
   kbbench::Row("%-32s %12.3f", "id-native join ms (median)", id_ms);
   kbbench::Row("%-32s %12.3f", "term-object join ms (median)", term_ms);
   kbbench::Row("%-32s %12.1fx", "id-native advantage", term_ms / id_ms);
   kbbench::Row("%-32s %12llu", "terms materialized / exec",
-               static_cast<unsigned long long>(
-                   term_stats.terms_materialized));
+               static_cast<unsigned long long>(terms_per_exec));
+  // The two legs must do the same join, and the term-object leg must
+  // really pay three Term copies per visited triple.
+  if (id_rows == 0 || term_rows != id_rows ||
+      term_stats.intermediate_rows != id_stats.intermediate_rows ||
+      terms_per_exec != 3 * term_stats.intermediate_rows) {
+    printf("FAIL: term-object leg diverged (rows %zu vs %zu, visited "
+           "%llu vs %llu, %llu terms/exec)\n", term_rows, id_rows,
+           static_cast<unsigned long long>(term_stats.intermediate_rows),
+           static_cast<unsigned long long>(id_stats.intermediate_rows),
+           static_cast<unsigned long long>(terms_per_exec));
+    return 1;
+  }
   kbbench::Report("e17_snapshot", "join_id_native_ms", id_ms);
   kbbench::Report("e17_snapshot", "join_term_object_ms", term_ms);
   kbbench::Report("e17_snapshot", "id_native_advantage", term_ms / id_ms);
@@ -252,12 +335,19 @@ int main(int argc, char** argv) {
     }
   }
   const double id_scan_ms = id_timer.ms();
+  // The term-object path: the same full SPO pass, but every visited
+  // triple's three Terms are materialized and matched as objects.
+  auto term_of = [&base](rdf::TermId id) { return base->MaterializeTerm(id); };
   kbbench::Timer term_timer;
   for (int r = 0; r < micro_rounds; ++r) {
     for (rdf::TermId s : subjects) {
-      rdf::Term subject = base->MaterializeTerm(s);
-      checksum_terms += base->MatchTermObjects(&subject, nullptr,
-                                               nullptr).size();
+      const rdf::Term subject = base->MaterializeTerm(s);
+      for (auto it = base->NewScan(rdf::TriplePattern{}); it->Valid();
+           it->Next()) {
+        if (MaterializeTriple(it->Value(), term_of) == subject) {
+          ++checksum_terms;
+        }
+      }
     }
   }
   const double term_scan_ms = term_timer.ms();

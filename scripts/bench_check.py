@@ -7,7 +7,10 @@ Compares freshly produced ``BENCH_*.json`` row files (bench_util.h's
 ``bench/baselines/tolerances.json``. Exits nonzero when a gated metric
 regresses beyond its band, when a baselined metric disappears, or when
 a required bench produced no rows at all — so CI notices a broken or
-silently-skipped bench, not just a slow one.
+silently-skipped bench, not just a slow one. A tolerance rule that
+matches no baselined metric also fails the check: it is a gate that
+no longer guards anything (e.g. left behind when its metric was
+retired).
 
 Policy (see DESIGN.md "Load generation & benchmark trajectory"):
 deterministic metrics (completed op counts, error counts) gate
@@ -69,6 +72,13 @@ def load_tolerances(path):
     for rule in config.get("rules", []):
         rules.append((re.compile(rule["pattern"]), rule))
     return rules
+
+
+def unused_rules(rules, rows):
+    """Patterns of rules that match no 'bench.metric' among ``rows``."""
+    names = [f"{bench}.{metric}" for (bench, _, metric) in rows]
+    return [rule["pattern"] for pattern, rule in rules
+            if not any(pattern.search(name) for name in names)]
 
 
 def rule_for(rules, bench, metric):
@@ -146,6 +156,10 @@ def main():
               f"{args.baselines}; nothing gated. Adopt the fresh rows "
               f"with: bench_check.py --fresh {args.fresh} --update")
         return
+
+    for pattern in unused_rules(rules, baseline_rows):
+        failures.append(f"tolerance rule {pattern!r} matches no baselined "
+                        f"metric; drop it with the metric it gated")
 
     # Every baselined bench must have produced at least one fresh row;
     # a bench that stopped emitting is a broken trajectory, not a pass.

@@ -148,13 +148,12 @@ class OnceBatchOp : public BatchOp {
 class BatchScanOp : public BatchOp {
  public:
   BatchScanOp(const rdf::TripleSource* source, const CompiledScan& scan,
-              size_t width, size_t batch_size, bool use_indexes,
-              QueryStats* stats, Cursor::CancelState* cancel)
+              size_t width, size_t batch_size, QueryStats* stats,
+              Cursor::CancelState* cancel)
       : source_(source),
         scan_(scan),
         width_(width),
         batch_size_(batch_size),
-        use_indexes_(use_indexes),
         stats_(stats),
         cancel_(cancel) {}
 
@@ -162,7 +161,7 @@ class BatchScanOp : public BatchOp {
     out->Reset(width_);
     if (iter_ == nullptr) {
       static const Row kNoRow;
-      iter_ = source_->NewScan(ScanPattern(scan_, kNoRow, use_indexes_));
+      iter_ = source_->NewScan(ScanPattern(scan_, kNoRow));
       ++stats_->index_scans;
       ++stats_->patterns_evaluated;
     }
@@ -183,7 +182,6 @@ class BatchScanOp : public BatchOp {
   CompiledScan scan_;
   size_t width_;
   size_t batch_size_;
-  bool use_indexes_;
   QueryStats* stats_;
   Cursor::CancelState* cancel_;
   std::unique_ptr<rdf::ScanIterator> iter_;
@@ -197,7 +195,7 @@ class BatchJoinOp : public BatchOp {
  public:
   BatchJoinOp(std::unique_ptr<BatchOp> child,
               const rdf::TripleSource* source, const CompiledScan& scan,
-              size_t width, size_t batch_size, bool use_indexes,
+              size_t width, size_t batch_size,
               std::unique_ptr<LevelBloom> bloom, QueryStats* stats,
               Cursor::CancelState* cancel)
       : child_(std::move(child)),
@@ -205,7 +203,6 @@ class BatchJoinOp : public BatchOp {
         scan_(scan),
         width_(width),
         batch_size_(batch_size),
-        use_indexes_(use_indexes),
         bloom_(std::move(bloom)),
         stats_(stats),
         cancel_(cancel) {}
@@ -248,7 +245,7 @@ class BatchJoinOp : public BatchOp {
         }
         ++stats_->bloom_hits;
       }
-      iter_ = source_->NewScan(ScanPattern(scan_, outer_, use_indexes_));
+      iter_ = source_->NewScan(ScanPattern(scan_, outer_));
       ++stats_->index_scans;
       ++stats_->patterns_evaluated;
     }
@@ -260,7 +257,6 @@ class BatchJoinOp : public BatchOp {
   CompiledScan scan_;
   size_t width_;
   size_t batch_size_;
-  bool use_indexes_;
   std::unique_ptr<LevelBloom> bloom_;
   QueryStats* stats_;
   Cursor::CancelState* cancel_;
@@ -296,21 +292,15 @@ std::vector<Row> ExecuteBatch(const CompiledPlan& plan,
     op = std::make_unique<OnceBatchOp>(width);
   } else {
     static const Row kNoRow;
-    const size_t leaf_estimate = options.use_indexes
-        ? source.EstimateCount(
-              ScanPattern(plan.scans[0], kNoRow, /*use_indexes=*/true))
-        : SIZE_MAX;
+    const size_t leaf_estimate =
+        source.EstimateCount(ScanPattern(plan.scans[0], kNoRow));
     op = std::make_unique<BatchScanOp>(&source, plan.scans[0], width,
-                                       batch_size, options.use_indexes,
-                                       stats, &cancel);
+                                       batch_size, stats, &cancel);
     for (size_t i = 1; i < plan.scans.size(); ++i) {
-      std::unique_ptr<LevelBloom> bloom;
-      if (options.use_indexes) {
-        bloom = MaybeBuildBloom(source, plan.scans[i], leaf_estimate, stats);
-      }
       op = std::make_unique<BatchJoinOp>(
           std::move(op), &source, plan.scans[i], width, batch_size,
-          options.use_indexes, std::move(bloom), stats, &cancel);
+          MaybeBuildBloom(source, plan.scans[i], leaf_estimate, stats),
+          stats, &cancel);
     }
   }
 

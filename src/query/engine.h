@@ -14,9 +14,8 @@
 namespace kb {
 namespace query {
 
-/// A result row: variable name -> term id. (Materializing API; the
-/// streaming executor works on slot-indexed flat rows and converts at
-/// the boundary.)
+/// A result row: variable name -> term id. (The executors work on
+/// slot-indexed flat rows and convert at the Execute boundary.)
 using Binding = std::map<std::string, rdf::TermId>;
 
 /// A slot-indexed flat binding row, the executor's native currency:
@@ -46,14 +45,11 @@ struct ExecOptions {
 /// Executor knobs (E10 ablations).
 struct ExecutionOptions {
   bool reorder_patterns = true;  ///< greedy selectivity-based join order
-  bool use_indexes = true;       ///< false = full scan per pattern
-  bool streaming = true;         ///< false = legacy materializing executor
   bool use_plan_cache = true;    ///< false = replan every execution
   /// false = drain the full result, then truncate (LIMIT ablation: no
-  /// early termination). Streaming executor only.
+  /// early termination).
   bool pushdown_limit = true;
-  /// Serving limits (deadline + row cap). Streaming executor only; the
-  /// materializing ablation ignores them.
+  /// Serving limits (deadline + row cap).
   ExecOptions exec;
   /// Vector-at-a-time execution (E19 ablation): when > 0, Execute runs
   /// the plan through the batch executor — scans fill id-column chunks
@@ -63,13 +59,6 @@ struct ExecutionOptions {
   /// row-at-a-time pipeline. Plans (and the plan cache) are shared
   /// between both modes.
   size_t batch_size = 0;
-  /// E17 ablation: when set, the scan/join operators materialize all
-  /// three Terms of every visited triple through this dictionary — the
-  /// pre-frame-store term-object path, heap churn included. Unset, the
-  /// executor joins on bare uint32 ids and terms are only materialized
-  /// at the result boundary. Counted in QueryStats::terms_materialized.
-  /// Streaming executor only; must outlive the execution.
-  const rdf::Dictionary* materialize_terms = nullptr;
 };
 
 /// Execution counters.
@@ -78,8 +67,6 @@ struct QueryStats {
   uint64_t intermediate_rows = 0;   ///< triples visited across all levels
   uint64_t index_scans = 0;
   uint64_t rows_streamed = 0;  ///< rows the root operator produced
-  /// Terms pulled off the heap by the materialize_terms ablation.
-  uint64_t terms_materialized = 0;
   /// Groups the hash aggregator materialized (aggregate queries only).
   uint64_t agg_groups = 0;
   /// Id-column chunks the batch executor filled (batch mode only).
@@ -189,9 +176,6 @@ class QueryEngine {
  private:
   PlanPtr GetPlan(const SelectQuery& query, const ExecutionOptions& options,
                   bool* cache_hit) const;
-  std::vector<Binding> ExecuteMaterialized(const SelectQuery& query,
-                                           const ExecutionOptions& options,
-                                           QueryStats* stats) const;
   std::vector<Binding> ExecuteBatched(const SelectQuery& query,
                                       const ExecutionOptions& options,
                                       QueryStats* stats) const;

@@ -14,12 +14,10 @@ namespace query {
 /// of work between operators differs.
 
 /// Scan pattern for one join level: constants and probe slots resolved
-/// against the current row. With use_indexes off, everything is left
-/// wild and BindRow post-filters (the full-scan ablation).
+/// against the current row.
 inline rdf::TriplePattern ScanPattern(const CompiledScan& scan,
-                                      const Row& row, bool use_indexes) {
+                                      const Row& row) {
   rdf::TriplePattern pattern;
-  if (!use_indexes) return pattern;
   rdf::TermId* out[3] = {&pattern.s, &pattern.p, &pattern.o};
   const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
   for (int i = 0; i < 3; ++i) {

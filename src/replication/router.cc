@@ -245,8 +245,11 @@ void Router::RouteRequest(const std::string& payload, std::string* response) {
 
   const bool is_read = op == "query" || op == "entity_card";
   uint64_t min_epoch = 0;
-  if ((*request)["min_epoch"].is_number()) {
-    min_epoch = static_cast<uint64_t>((*request)["min_epoch"].as_number());
+  if (!request->GetInt("min_epoch", &min_epoch)) {
+    metrics_->errors.Increment();
+    *response =
+        ErrorJson("bad_request", "min_epoch must be an integer in range");
+    return;
   }
   const std::string key =
       op == "query" ? request->GetString("sparql")

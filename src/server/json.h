@@ -1,10 +1,13 @@
 #ifndef KBFORGE_SERVER_JSON_H_
 #define KBFORGE_SERVER_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/statusor.h"
@@ -57,6 +60,27 @@ class Json {
                         const std::string& fallback = "") const;
   double GetNumber(const std::string& key, double fallback = 0) const;
   bool GetBool(const std::string& key, bool fallback = false) const;
+
+  /// Integer field accessor for untrusted requests. An absent or null
+  /// field leaves *out unchanged and returns true; an integral number
+  /// representable as T is stored and returns true. Anything else (a
+  /// fraction, a value outside T's range, a non-number) returns false
+  /// and leaves *out unchanged, so no out-of-range double ever reaches
+  /// a narrowing cast.
+  template <typename T>
+  bool GetInt(const std::string& key, T* out) const {
+    static_assert(std::is_integral_v<T>, "GetInt needs an integer type");
+    const Json& field = (*this)[key];
+    if (field.is_null()) return true;
+    if (!field.is_number()) return false;
+    const double v = field.number_;
+    // T's range as exact doubles: [lowest, 2^digits).
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lowest = std::is_signed_v<T> ? -limit : 0.0;
+    if (!(v >= lowest && v < limit) || v != std::trunc(v)) return false;
+    *out = static_cast<T>(v);
+    return true;
+  }
 
   /// Builder-style mutators (no-ops on the wrong type).
   Json& Set(const std::string& key, Json value);

@@ -202,12 +202,14 @@ StatusOr<Json> KbClient::CallOnce(const Json& request) {
 }
 
 StatusOr<QueryResult> KbClient::Query(const std::string& sparql,
-                                      double deadline_ms, int64_t max_rows,
+                                      int64_t deadline_ms, int64_t max_rows,
                                       bool no_cache) {
   Json request = Json::Object();
   request.Set("op", Json::Str("query"));
   request.Set("sparql", Json::Str(sparql));
-  if (deadline_ms >= 0) request.Set("deadline_ms", Json::Number(deadline_ms));
+  if (deadline_ms >= 0) {
+    request.Set("deadline_ms", Json::Number(static_cast<double>(deadline_ms)));
+  }
   if (max_rows >= 0) {
     request.Set("max_rows", Json::Number(static_cast<double>(max_rows)));
   }

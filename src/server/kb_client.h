@@ -87,7 +87,7 @@ class KbClient {
   StatusOr<Json> Call(const Json& request);
 
   StatusOr<QueryResult> Query(const std::string& sparql,
-                              double deadline_ms = -1, int64_t max_rows = -1,
+                              int64_t deadline_ms = -1, int64_t max_rows = -1,
                               bool no_cache = false);
   StatusOr<Json> EntityCard(const std::string& entity, size_t max_facts = 0);
   /// Runs a server-side analytics job ("pagerank" or "class_stats").

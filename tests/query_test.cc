@@ -291,31 +291,6 @@ TEST_F(QueryFixture, LimitPushdownAblation) {
   EXPECT_EQ(without_stats.intermediate_rows, store_.size());
 }
 
-TEST_F(QueryFixture, MaterializeTermsAblationChangesNothingButCounters) {
-  // The E17 term-object ablation drags every visited triple's three
-  // Terms off the heap; results and row order must be identical to the
-  // id-native path, only the materialization counter moves.
-  SelectQuery q;
-  q.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(type_),
-                     QueryTerm::Bound(company_)});
-  QueryEngine engine(&store_);
-  ExecutionOptions id_native;
-  ExecutionOptions term_objects;
-  term_objects.materialize_terms = &store_.dict();
-  QueryStats id_stats, term_stats;
-  auto id_rows = engine.Execute(q, id_native, &id_stats);
-  auto term_rows = engine.Execute(q, term_objects, &term_stats);
-  EXPECT_EQ(id_rows, term_rows);
-  EXPECT_EQ(id_rows.size(), 3u);
-  EXPECT_EQ(id_stats.terms_materialized, 0u);
-  // Three terms per visited triple, across scan and join levels.
-  EXPECT_EQ(term_stats.terms_materialized,
-            3 * term_stats.intermediate_rows);
-  EXPECT_GT(term_stats.terms_materialized, 0u);
-}
-
 // ----------------------------------------------------------- Plan cache
 
 TEST_F(QueryFixture, PlanCacheHitsOnRepeatedShape) {
@@ -500,22 +475,34 @@ TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
         };
         q.where.push_back({term(false), term(true), term(false)});
       }
+      // Half the queries project a subset of their variables: with
+      // every variable projected, rows never repeat and DISTINCT would
+      // have nothing to remove.
+      if (rng() % 2) {
+        for (const char* var : vars) {
+          bool used = false;
+          for (const QueryPattern& qp : q.where) {
+            for (const QueryTerm* t : {&qp.s, &qp.p, &qp.o}) {
+              used = used || (t->is_var && t->var == var);
+            }
+          }
+          if (used && rng() % 2) q.projection.push_back(var);
+        }
+      }
       auto expected = Canonical(BruteForce(store, q));
 
       ExecutionOptions streaming;  // defaults
-      ExecutionOptions materialized;
-      materialized.streaming = false;
-      ExecutionOptions no_indexes;
-      no_indexes.use_indexes = false;
       ExecutionOptions written_order;
       written_order.reorder_patterns = false;
+      // Chunks of 3 split most results across several batches, so
+      // DISTINCT and the join levels see rows arrive in pieces.
+      ExecutionOptions batched;
+      batched.batch_size = 3;
       EXPECT_EQ(Canonical(engine.Execute(q, streaming)), expected)
           << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, materialized)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, no_indexes)), expected)
-          << "seed=" << seed << " trial=" << trial;
       EXPECT_EQ(Canonical(engine.Execute(q, written_order)), expected)
+          << "seed=" << seed << " trial=" << trial;
+      EXPECT_EQ(Canonical(engine.Execute(q, batched)), expected)
           << "seed=" << seed << " trial=" << trial;
     }
   }

@@ -767,6 +767,13 @@ TEST(ReplicationChaosTest, ReadYourWritesHoldsUnderReplicaLag) {
   EXPECT_TRUE(stale.status().IsUnavailable()) << stale.status();
   EXPECT_NE(stale.status().message().find("stale_replica"),
             std::string::npos);
+
+  // A min_epoch no uint64 holds is refused at the router as a bad
+  // request instead of being cast into some arbitrary epoch.
+  request.Set("min_epoch", server::Json::Number(1e300));
+  auto refused = client.Call(request);
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_NE(refused.status().message().find("min_epoch"), std::string::npos);
   router.Stop();
 }
 

@@ -262,6 +262,71 @@ TEST(KbServerTest, MaxRowsTruncatesWithoutPoisoningCache) {
   EXPECT_EQ(full->rows.size(), 2u);
 }
 
+TEST(KbServerTest, OutOfRangeNumericFieldsAreBadRequests) {
+  TestServer ts;
+  KbClient client = ts.Connect();
+  auto request = [](const std::string& op, const std::string& field,
+                    double value) {
+    Json r = Json::Object();
+    r.Set("op", Json::Str(op));
+    r.Set("sparql", Json::Str(WorksForQuery("Acme_Corp")));
+    r.Set("entity", Json::Str("Acme_Corp"));
+    r.Set("job", Json::Str("pagerank"));
+    r.Set(field, Json::Number(value));
+    return r;
+  };
+  auto expect_bad = [&](const std::string& op, const std::string& field,
+                        double value) {
+    Status status = client.Call(request(op, field, value)).status();
+    EXPECT_TRUE(status.IsInvalidArgument())
+        << op << " " << field << "=" << value << ": " << status;
+    EXPECT_NE(status.message().find(field), std::string::npos) << status;
+  };
+  for (double value : {1e300, -1e300, 2.5}) {
+    expect_bad("query", "deadline_ms", value);
+    expect_bad("query", "max_rows", value);
+    expect_bad("query", "min_epoch", value);
+    expect_bad("entity_card", "max_facts", value);
+    expect_bad("analytics", "top_k", value);
+    expect_bad("analytics", "iterations", value);
+  }
+  expect_bad("query", "min_epoch", -1);
+  expect_bad("analytics", "iterations", 0);
+  expect_bad("analytics", "iterations", -5);
+
+  // In-range values keep their meaning: a negative deadline is none and
+  // a non-positive top_k is the default.
+  auto no_deadline = client.Call(request("query", "deadline_ms", -1));
+  ASSERT_TRUE(no_deadline.ok()) << no_deadline.status();
+  EXPECT_EQ(no_deadline->GetNumber("row_count"), 2);
+  auto pagerank = client.Call(request("analytics", "top_k", -3));
+  ASSERT_TRUE(pagerank.ok()) << pagerank.status();
+  EXPECT_GT(pagerank->GetNumber("iterations"), 0);
+  EXPECT_GT((*pagerank)["top"].items().size(), 0u);
+
+  // A bad per-fact number skips that fact, like any malformed fact.
+  Json insert = Json::Object();
+  insert.Set("op", Json::Str("insert_facts"));
+  Json facts = Json::Array();
+  auto fact = [](const std::string& field, double value) {
+    Json f = Json::Object();
+    f.Set("s", Json::Str("Eve_Gray"));
+    f.Set("p", Json::Str("worksFor"));
+    f.Set("o", Json::Str("Globex"));
+    f.Set(field, Json::Number(value));
+    return f;
+  };
+  facts.Append(fact("year", 1e300));
+  facts.Append(fact("support", -1));
+  facts.Append(fact("extractor", 0.5));
+  facts.Append(fact("support", 3));
+  insert.Set("facts", std::move(facts));
+  auto inserted = client.Call(insert);
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  EXPECT_EQ(inserted->GetNumber("inserted"), 1);
+  EXPECT_EQ(inserted->GetNumber("skipped"), 3);
+}
+
 // ---------------------------------------------------- admission control
 
 TEST(KbServerTest, QueueFullConnectionsAreShedWithRetryHint) {
