@@ -1,13 +1,14 @@
 #include "query/engine.h"
 
+#include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "query/agg.h"
-#include "query/batch_exec.h"
-#include "query/exec_internal.h"
 #include "rdf/term.h"
-#include "util/hash.h"
+#include "util/bloom_filter.h"
 #include "util/metrics_registry.h"
+#include "util/slice.h"
 #include "util/string_util.h"
 
 namespace kb {
@@ -25,6 +26,9 @@ struct QueryMetrics {
   Counter& plan_cache_hits;
   Counter& plan_cache_misses;
   Counter& agg_groups;
+  Counter& batches;
+  Counter& bloom_probes;
+  Counter& bloom_hits;
   Histogram& execute_ms;
 
   static QueryMetrics& Get() {
@@ -39,6 +43,9 @@ struct QueryMetrics {
           r.counter("query.plan_cache_hits"),
           r.counter("query.plan_cache_misses"),
           r.counter("query.agg_groups"),
+          r.counter("query.batches"),
+          r.counter("query.bloom_probes"),
+          r.counter("query.bloom_hits"),
           r.histogram("query.execute_ms"),
       };
     }();
@@ -46,248 +53,420 @@ struct QueryMetrics {
   }
 };
 
-}  // namespace
+/// Largest chunk one pull moves. Chunks start at one row and double
+/// per pull up to this size: a consumer that stops early (LIMIT, an
+/// abandoned cursor) has paid for about as many rows as it took, while
+/// a long drain amortizes per-chunk work over 1024 rows.
+constexpr size_t kMaxChunkRows = 1024;
 
-// --------------------------------------------------------- Operators
+/// Don't build a semijoin filter past this many keys: the build scan
+/// would rival the probes it saves.
+constexpr size_t kMaxBloomKeys = 1u << 22;
+constexpr int kBloomBitsPerKey = 10;
 
-class Cursor::Operator {
- public:
-  virtual ~Operator() = default;
-  /// Produces the next row into `row`; false at end of stream.
-  virtual bool Next(Row* row) = 0;
-};
+/// Cooperative cancellation for one execution. The scan loops poll
+/// Expired(), so a deadline cuts off even executions that churn
+/// through intermediate triples without ever surfacing a row. The
+/// clock is only consulted every kCheckStride polls (a steady_clock
+/// read per triple would dominate scan cost); once expired, the state
+/// latches.
+struct CancelState {
+  static constexpr uint32_t kCheckStride = 256;
 
-namespace {
+  std::chrono::steady_clock::time_point deadline{};
+  uint32_t polls_until_check = 0;  ///< first poll checks the clock
+  bool armed = false;
+  bool expired = false;
 
-using Operator = Cursor::Operator;
-
-/// The one Row -> Binding conversion: pairs projected columns with
-/// their names (both executors hand rows out in projection order).
-Binding RowToBinding(const std::vector<std::string>& names, const Row& row) {
-  Binding binding;
-  for (size_t i = 0; i < names.size() && i < row.size(); ++i) {
-    binding[names[i]] = row[i];
-  }
-  return binding;
-}
-
-/// Zero rows (unmatchable constants).
-class EmptyOp : public Operator {
- public:
-  bool Next(Row*) override { return false; }
-};
-
-/// Exactly one empty row (empty WHERE clause).
-class OnceOp : public Operator {
- public:
-  explicit OnceOp(size_t width) : width_(width) {}
-  bool Next(Row* row) override {
-    if (done_) return false;
-    done_ = true;
-    row->assign(width_, rdf::kAnyTerm);
-    return true;
-  }
-
- private:
-  size_t width_;
-  bool done_ = false;
-};
-
-/// Leaf: one index scan binding the first pattern's variables.
-class IndexScanOp : public Operator {
- public:
-  IndexScanOp(const rdf::TripleSource* source, const CompiledScan& scan,
-              size_t width, QueryStats* stats, Cursor::CancelState* cancel)
-      : source_(source),
-        scan_(scan),
-        width_(width),
-        stats_(stats),
-        cancel_(cancel) {}
-
-  bool Next(Row* row) override {
-    if (iter_ == nullptr) {
-      static const Row kNoRow;
-      iter_ = source_->NewScan(ScanPattern(scan_, kNoRow));
-      ++stats_->index_scans;
-      ++stats_->patterns_evaluated;
-    }
-    while (iter_->Valid()) {
-      if (cancel_->Expired()) return false;
-      const rdf::Triple& t = iter_->Value();
-      ++stats_->intermediate_rows;
-      row->assign(width_, rdf::kAnyTerm);
-      bool ok = BindRow(scan_, t, row);
-      iter_->Next();
-      if (ok) return true;
-    }
-    return false;
-  }
-
- private:
-  const rdf::TripleSource* source_;
-  CompiledScan scan_;
-  size_t width_;
-  QueryStats* stats_;
-  Cursor::CancelState* cancel_;
-  std::unique_ptr<rdf::ScanIterator> iter_;
-};
-
-/// Index nested-loop join: for every row of `child`, an index scan
-/// probes the matches of this level's pattern.
-class IndexNestedLoopJoinOp : public Operator {
- public:
-  IndexNestedLoopJoinOp(std::unique_ptr<Operator> child,
-                        const rdf::TripleSource* source,
-                        const CompiledScan& scan, QueryStats* stats,
-                        Cursor::CancelState* cancel)
-      : child_(std::move(child)),
-        source_(source),
-        scan_(scan),
-        stats_(stats),
-        cancel_(cancel) {}
-
-  bool Next(Row* row) override {
-    for (;;) {
-      if (iter_ != nullptr) {
-        while (iter_->Valid()) {
-          if (cancel_->Expired()) return false;
-          const rdf::Triple& t = iter_->Value();
-          ++stats_->intermediate_rows;
-          *row = outer_;
-          bool ok = BindRow(scan_, t, row);
-          iter_->Next();
-          if (ok) return true;
-        }
-        iter_.reset();
-      }
-      if (!child_->Next(&outer_)) return false;
-      iter_ = source_->NewScan(ScanPattern(scan_, outer_));
-      ++stats_->index_scans;
-      ++stats_->patterns_evaluated;
-    }
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  const rdf::TripleSource* source_;
-  CompiledScan scan_;
-  QueryStats* stats_;
-  Cursor::CancelState* cancel_;
-  Row outer_;
-  std::unique_ptr<rdf::ScanIterator> iter_;
-};
-
-/// Narrows full-width rows to the projected columns.
-class ProjectOp : public Operator {
- public:
-  ProjectOp(std::unique_ptr<Operator> child, std::vector<int> slots)
-      : child_(std::move(child)), slots_(std::move(slots)) {}
-
-  bool Next(Row* row) override {
-    if (!child_->Next(&buffer_)) return false;
-    row->resize(slots_.size());
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      (*row)[i] = buffer_[static_cast<size_t>(slots_[i])];
-    }
-    return true;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<int> slots_;
-  Row buffer_;
-};
-
-/// Drops duplicate projected rows.
-class DistinctOp : public Operator {
- public:
-  explicit DistinctOp(std::unique_ptr<Operator> child)
-      : child_(std::move(child)) {}
-
-  bool Next(Row* row) override {
-    while (child_->Next(row)) {
-      if (seen_.insert(*row).second) return true;
-    }
-    return false;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::unordered_set<Row, RowHash> seen_;
-};
-
-/// Stops the pipeline after `limit` rows (LIMIT pushdown: nothing
-/// below this operator runs once the quota is reached).
-class LimitOp : public Operator {
- public:
-  LimitOp(std::unique_ptr<Operator> child, size_t limit)
-      : child_(std::move(child)), remaining_(limit) {}
-
-  bool Next(Row* row) override {
-    if (remaining_ == 0) return false;
-    if (!child_->Next(row)) {
-      remaining_ = 0;
+  bool Expired() {
+    if (!armed || expired) return expired;
+    if (polls_until_check > 0) {
+      --polls_until_check;
       return false;
     }
-    --remaining_;
-    return true;
+    polls_until_check = kCheckStride - 1;
+    expired = std::chrono::steady_clock::now() >= deadline;
+    return expired;
   }
-
- private:
-  std::unique_ptr<Operator> child_;
-  size_t remaining_;
 };
 
-/// Hash GROUP BY over full-width rows: drains the child into the
-/// shared GroupAggregator (query/agg.h), then streams the aggregated
-/// [group values..., count] rows — ordered when a top-k bound was
-/// requested, hash order otherwise. Replaces Project/Distinct in the
-/// pipeline: the aggregate's output columns are already narrow.
-class HashAggregateOp : public Operator {
- public:
-  HashAggregateOp(std::unique_ptr<Operator> child, const CompiledAgg& agg,
-                  size_t top_k, QueryStats* stats,
-                  Cursor::CancelState* cancel)
-      : child_(std::move(child)),
-        agg_(agg),
-        top_k_(top_k),
-        stats_(stats),
-        cancel_(cancel) {}
+/// One id-column chunk: `rows` rows of `cols.size()` slots,
+/// column-major so the aggregate and projection stages touch only the
+/// columns they need.
+struct Chunk {
+  size_t rows = 0;
+  std::vector<std::vector<rdf::TermId>> cols;
 
-  bool Next(Row* row) override {
-    if (!done_) {
-      GroupAggregator groups(agg_);
-      Row in;
-      while (child_->Next(&in)) {
-        groups.Accumulate(in);
-        if (cancel_->expired) break;
-      }
-      done_ = true;
-      if (!cancel_->expired) {
-        stats_->agg_groups += groups.num_groups();
-        out_ = std::move(groups).Finish(top_k_);
-      }
-      // An expired deadline discards the partial aggregate: a group
-      // that is missing late rows would be silently *wrong*, not just
-      // a prefix, so nothing is emitted (the cursor flags the stats).
+  void Reset(size_t width) {
+    cols.resize(width);
+    for (auto& col : cols) col.clear();
+    rows = 0;
+  }
+  void PushRow(const Row& row) {
+    for (size_t i = 0; i < cols.size(); ++i) cols[i].push_back(row[i]);
+    ++rows;
+  }
+};
+
+/// Scan pattern for one level: constants and probe slots resolved
+/// against the outer row (the leaf has no probe slots).
+rdf::TriplePattern ScanPattern(const CompiledScan& scan, const Row& outer) {
+  rdf::TriplePattern pattern;
+  rdf::TermId* out[3] = {&pattern.s, &pattern.p, &pattern.o};
+  const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
+  for (int i = 0; i < 3; ++i) {
+    switch (accesses[i]->kind) {
+      case Access::Kind::kConst:
+        *out[i] = accesses[i]->constant;
+        break;
+      case Access::Kind::kProbe:
+        *out[i] = outer[static_cast<size_t>(accesses[i]->slot)];
+        break;
+      default:
+        break;  // kBind/kCheck stay wild
     }
-    if (cancel_->expired || pos_ >= out_.size()) return false;
-    *row = std::move(out_[pos_++]);
-    return true;
+  }
+  return pattern;
+}
+
+/// Applies one matched triple to the row: binds fresh slots, verifies
+/// constants, probes and repeated variables. Returns false if the
+/// triple does not extend the row.
+bool BindRow(const CompiledScan& scan, const rdf::Triple& t, Row* row) {
+  const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
+  const rdf::TermId values[3] = {t.s, t.p, t.o};
+  for (int i = 0; i < 3; ++i) {
+    const Access& a = *accesses[i];
+    switch (a.kind) {
+      case Access::Kind::kConst:
+        if (values[i] != a.constant) return false;
+        break;
+      case Access::Kind::kProbe:
+      case Access::Kind::kCheck:
+        if ((*row)[static_cast<size_t>(a.slot)] != values[i]) return false;
+        break;
+      case Access::Kind::kBind:
+        (*row)[static_cast<size_t>(a.slot)] = values[i];
+        break;
+    }
+  }
+  return true;
+}
+
+/// One pattern of the left-deep pipeline. Level 0 is the leaf index
+/// scan; each later level is an index nested-loop join that probes
+/// the index once per outer row of the level below.
+struct Level {
+  explicit Level(const CompiledScan& compiled) : scan(compiled) {
+    const Access* accesses[3] = {&scan.s, &scan.p, &scan.o};
+    rdf::TermId* inner[3] = {&bloom_inner.s, &bloom_inner.p, &bloom_inner.o};
+    int probes = 0;
+    for (int i = 0; i < 3; ++i) {
+      if (accesses[i]->kind == Access::Kind::kConst) {
+        *inner[i] = accesses[i]->constant;
+      } else if (accesses[i]->kind == Access::Kind::kProbe) {
+        ++probes;
+        bloom_pos = i;
+        bloom_slot = accesses[i]->slot;
+      }
+    }
+    if (probes != 1) bloom_pos = -1;
   }
 
- private:
-  std::unique_ptr<Operator> child_;
-  CompiledAgg agg_;
-  size_t top_k_;
-  QueryStats* stats_;
-  Cursor::CancelState* cancel_;
-  std::vector<Row> out_;
-  size_t pos_ = 0;
-  bool done_ = false;
+  CompiledScan scan;
+  std::unique_ptr<rdf::ScanIterator> iter;  ///< the open index scan
+  Row outer;    ///< join levels: the outer row being extended
+  Row scratch;  ///< the row under construction
+  Chunk input;  ///< join levels: outer rows pulled from below
+  size_t input_pos = 0;
+
+  /// Bloom semijoin prefilter state. bloom_pos is the triple position
+  /// of the level's only probe slot while a filter may still be built
+  /// (-1 once decided, or for levels with no or several probe slots);
+  /// bloom_inner is the level's constant-only inner pattern.
+  int bloom_pos = -1;
+  int bloom_slot = -1;  ///< row slot of the filtered join key
+  rdf::TriplePattern bloom_inner;
+  uint64_t outer_rows = 0;  ///< outer rows received so far
+  size_t inner_estimate = 0;
+  bool estimated = false;
+  std::string bloom;  ///< the built filter; empty = none
+
+  bool BloomRejects(const Row& row) const {
+    rdf::TermId key = row[static_cast<size_t>(bloom_slot)];
+    return !BloomFilterReader(Slice(bloom)).MayContain(
+        Slice(reinterpret_cast<const char*>(&key), sizeof(key)));
+  }
 };
 
 }  // namespace
+
+// ---------------------------------------------------------- Pipeline
+
+/// The execution state behind a Cursor: the pipeline levels, the
+/// consumer tail (projection + DISTINCT, or the aggregate) and the
+/// row-major buffer of projected rows Cursor::Next hands out.
+struct Cursor::Pipeline {
+  Pipeline(const CompiledPlan& compiled, const rdf::TripleSource* src,
+           const ExecutionOptions& options, size_t limit_rows,
+           size_t top_k_groups)
+      : plan(compiled),
+        source(src),
+        width(compiled.var_names.size()),
+        limit(limit_rows),
+        max_rows(options.exec.max_rows),
+        top_k(top_k_groups) {
+    if (options.exec.has_deadline()) {
+      cancel.armed = true;
+      cancel.deadline = options.exec.deadline;
+    }
+    for (const CompiledScan& scan : plan.scans) levels.emplace_back(scan);
+    out_width = plan.agg.enabled ? plan.projection_names.size()
+                                 : plan.projection_slots.size();
+    done = plan.unmatchable;
+  }
+
+  /// Fills `out` with up to `capacity` rows of level `i`; false when
+  /// the level is exhausted (or the deadline expired) with none.
+  bool Pull(size_t i, size_t capacity, Chunk* out);
+  /// Builds `level`'s Bloom prefilter once it pays.
+  void MaybeBuildBloom(Level* level);
+  /// Pulls the next chunk of the whole pipeline.
+  bool PullTop(size_t capacity, Chunk* out);
+  /// Refills the output buffer; false at end of stream.
+  bool Refill();
+  /// Projects pipeline chunks of at most `capacity` rows into the
+  /// output buffer until it holds a row; false if none is left.
+  bool Fill(size_t capacity);
+  /// Drains the pipeline into the hash aggregate and buffers its rows.
+  void Aggregate();
+
+  const CompiledPlan& plan;
+  const rdf::TripleSource* source;
+  const size_t width;     ///< pipeline row width (plan slots)
+  const size_t limit;     ///< LIMIT (0 = none)
+  const size_t max_rows;  ///< ExecOptions row cap (0 = none)
+  const size_t top_k;
+  QueryStats stats;
+  CancelState cancel;
+  std::vector<Level> levels;
+  bool once_done = false;  ///< empty WHERE: its one row was produced
+  size_t next_capacity = 1;
+  bool started = false;
+  bool done = false;
+  Chunk chunk;  ///< the top level's latest chunk
+  std::unordered_set<Row, RowHash> seen;  ///< DISTINCT
+  /// Projected rows buffered for Cursor::Next, row-major (counted
+  /// separately: a query without variables has zero-width rows).
+  std::vector<rdf::TermId> out;
+  size_t out_width = 0;
+  size_t out_rows = 0;
+  size_t out_next = 0;  ///< index of the next row to hand out
+};
+
+bool Cursor::Pipeline::Pull(size_t i, size_t capacity, Chunk* out) {
+  out->Reset(width);
+  Level& level = levels[i];
+  if (i == 0) {
+    if (level.iter == nullptr) {
+      level.iter = source->NewScan(ScanPattern(level.scan, Row()));
+      ++stats.index_scans;
+      ++stats.patterns_evaluated;
+    }
+    rdf::ScanIterator& iter = *level.iter;
+    while (iter.Valid() && out->rows < capacity) {
+      if (cancel.Expired()) break;
+      ++stats.intermediate_rows;
+      level.scratch.assign(width, rdf::kAnyTerm);
+      bool ok = BindRow(level.scan, iter.Value(), &level.scratch);
+      iter.Next();
+      if (ok) out->PushRow(level.scratch);
+    }
+    return out->rows > 0;
+  }
+  for (;;) {
+    if (cancel.expired) return out->rows > 0;
+    if (level.iter != nullptr) {
+      rdf::ScanIterator& iter = *level.iter;
+      while (iter.Valid() && out->rows < capacity) {
+        if (cancel.Expired()) break;
+        ++stats.intermediate_rows;
+        level.scratch = level.outer;
+        bool ok = BindRow(level.scan, iter.Value(), &level.scratch);
+        iter.Next();
+        if (ok) out->PushRow(level.scratch);
+      }
+      if (out->rows == capacity) return true;
+      if (iter.Valid()) continue;  // stopped by the deadline
+      level.iter.reset();
+    }
+    // Advance to the next outer row, pulling a fresh chunk from below
+    // when the current one is spent. The level below is asked for no
+    // more rows than this level was: at most one outer row per output
+    // row is needed to fill the request.
+    if (level.input_pos >= level.input.rows) {
+      if (!Pull(i - 1, capacity, &level.input)) return out->rows > 0;
+      level.input_pos = 0;
+      level.outer_rows += level.input.rows;
+      if (level.bloom_pos >= 0) MaybeBuildBloom(&level);
+    }
+    level.outer.resize(width);
+    for (size_t c = 0; c < width; ++c) {
+      level.outer[c] = level.input.cols[c][level.input_pos];
+    }
+    ++level.input_pos;
+    if (!level.bloom.empty()) {
+      ++stats.bloom_probes;
+      if (level.BloomRejects(level.outer)) continue;  // skip the probe
+      ++stats.bloom_hits;
+    }
+    level.iter = source->NewScan(ScanPattern(level.scan, level.outer));
+    ++stats.index_scans;
+    ++stats.patterns_evaluated;
+  }
+}
+
+/// The Bloom semijoin prefilter: the join-key column of the level's
+/// constant-bound inner scan, folded into a Bloom filter, so outer rows
+/// whose key definitely has no inner match skip the index probe (and
+/// its iterator) entirely. It is built once the level has received at
+/// least as many outer rows as the inner side is estimated to hold:
+/// the build scan then costs no more than the probes already made, and
+/// a cursor that stops early (LIMIT, max_rows, abandonment) never pays
+/// for a filter it would not use.
+void Cursor::Pipeline::MaybeBuildBloom(Level* level) {
+  if (!level->estimated) {
+    level->estimated = true;
+    level->inner_estimate = source->EstimateCount(level->bloom_inner);
+    if (level->inner_estimate == 0 ||
+        level->inner_estimate > kMaxBloomKeys) {
+      level->bloom_pos = -1;  // nothing to filter, or too big to pay
+      return;
+    }
+  }
+  if (level->outer_rows < level->inner_estimate) return;
+  const int pos = level->bloom_pos;
+  level->bloom_pos = -1;  // decided: one build attempt per execution
+  BloomFilterBuilder builder(kBloomBitsPerKey);
+  size_t keys = 0;
+  std::unique_ptr<rdf::ScanIterator> iter =
+      source->NewScan(level->bloom_inner);
+  ++stats.index_scans;
+  for (; iter->Valid(); iter->Next()) {
+    if (cancel.Expired()) return;
+    ++stats.intermediate_rows;
+    // The estimate lied: a partial filter would reject real matches.
+    if (++keys > kMaxBloomKeys) return;
+    const rdf::Triple& t = iter->Value();
+    rdf::TermId key = pos == 0 ? t.s : pos == 1 ? t.p : t.o;
+    builder.AddKey(Slice(reinterpret_cast<const char*>(&key), sizeof(key)));
+  }
+  level->bloom = builder.Finish();
+}
+
+bool Cursor::Pipeline::PullTop(size_t capacity, Chunk* out) {
+  if (levels.empty()) {
+    // Empty WHERE clause: exactly one all-wildcard row.
+    out->Reset(width);
+    if (once_done) return false;
+    once_done = true;
+    out->PushRow(Row(width, rdf::kAnyTerm));
+    return true;
+  }
+  return Pull(levels.size() - 1, capacity, out);
+}
+
+bool Cursor::Pipeline::Fill(size_t capacity) {
+  out.clear();
+  out_rows = out_next = 0;
+  const std::vector<int>& slots = plan.projection_slots;
+  while (out_rows == 0) {
+    if (!PullTop(capacity, &chunk) || cancel.expired) return false;
+    ++stats.batches;
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      const size_t base = out.size();
+      for (int slot : slots) {
+        out.push_back(chunk.cols[static_cast<size_t>(slot)][r]);
+      }
+      if (plan.distinct &&
+          !seen.emplace(out.begin() + static_cast<ptrdiff_t>(base),
+                        out.end()).second) {
+        out.resize(base);
+        continue;
+      }
+      ++out_rows;
+    }
+  }
+  return true;
+}
+
+void Cursor::Pipeline::Aggregate() {
+  GroupAggregator groups(plan.agg);
+  while (PullTop(kMaxChunkRows, &chunk) && !cancel.expired) {
+    ++stats.batches;
+    groups.AccumulateColumns(chunk.cols, chunk.rows);
+  }
+  if (cancel.expired) {
+    // A group missing late rows would be silently *wrong*, not just a
+    // prefix, so an expired aggregate emits nothing.
+    stats.deadline_exceeded = true;
+    return;
+  }
+  stats.agg_groups += groups.num_groups();
+  std::vector<Row> rows = std::move(groups).Finish(top_k);
+  if (limit != 0 && rows.size() > limit) rows.resize(limit);
+  if (max_rows != 0 && rows.size() > max_rows) {
+    rows.resize(max_rows);
+    stats.max_rows_hit = true;
+  }
+  out.clear();
+  for (const Row& row : rows) out.insert(out.end(), row.begin(), row.end());
+  out_rows = rows.size();
+  out_next = 0;
+}
+
+bool Cursor::Pipeline::Refill() {
+  if (done) return false;
+  if (!started) {
+    started = true;
+    // An already-expired deadline ends the stream before the first
+    // pull (deterministic for "give up immediately" requests);
+    // otherwise the scan loops poll cooperatively.
+    if (cancel.armed && std::chrono::steady_clock::now() >= cancel.deadline) {
+      stats.deadline_exceeded = true;
+      done = true;
+      return false;
+    }
+    if (plan.agg.enabled) {
+      // An aggregate's demand is its whole input: it pulls full
+      // chunks and buffers every output row at once.
+      Aggregate();
+      done = true;
+      return out_rows > 0;
+    }
+  }
+  const size_t emitted = stats.rows_streamed;
+  size_t allowed = std::numeric_limits<size_t>::max();
+  if (limit != 0) allowed = limit - emitted;
+  if (max_rows != 0) allowed = std::min(allowed, max_rows - emitted);
+  if (allowed == 0) {
+    done = true;
+    // LIMIT reached: the result is complete. Row cap reached: the
+    // result is truncated only if a further row really exists (one
+    // that cannot be looked for in time counts as one).
+    if (limit == 0 || emitted < limit) {
+      stats.max_rows_hit = Fill(1) || cancel.expired;
+      out_rows = 0;
+    }
+    return false;
+  }
+  const size_t capacity = std::min(next_capacity, allowed);
+  next_capacity = std::min(next_capacity * 2, kMaxChunkRows);
+  if (Fill(capacity)) return true;
+  stats.deadline_exceeded = cancel.expired;
+  done = true;
+  return false;
+}
 
 // ------------------------------------------------------------ Cursor
 
@@ -295,77 +474,36 @@ Cursor::Cursor(PlanPtr plan,
                std::shared_ptr<const rdf::TripleSource> snapshot,
                const rdf::TripleSource* source,
                const ExecutionOptions& options, size_t limit, size_t top_k)
-    : plan_(std::move(plan)),
-      snapshot_(std::move(snapshot)),
-      cancel_(std::make_unique<CancelState>()),
-      stats_(std::make_unique<QueryStats>()),
-      max_rows_(options.exec.max_rows) {
-  if (options.exec.has_deadline()) {
-    cancel_->armed = true;
-    cancel_->deadline = options.exec.deadline;
-  }
-  const rdf::TripleSource* src =
-      snapshot_ != nullptr ? snapshot_.get() : source;
-  std::unique_ptr<Operator> op;
-  if (plan_->unmatchable) {
-    op = std::make_unique<EmptyOp>();
-  } else if (plan_->scans.empty()) {
-    op = std::make_unique<OnceOp>(plan_->var_names.size());
-  } else {
-    op = std::make_unique<IndexScanOp>(src, plan_->scans[0],
-                                       plan_->var_names.size(), stats_.get(),
-                                       cancel_.get());
-    for (size_t i = 1; i < plan_->scans.size(); ++i) {
-      op = std::make_unique<IndexNestedLoopJoinOp>(
-          std::move(op), src, plan_->scans[i], stats_.get(), cancel_.get());
-    }
-  }
-  if (plan_->agg.enabled) {
-    // Aggregation replaces Project/Distinct: the aggregate streams
-    // id-native [group..., count] rows straight to the boundary.
-    op = std::make_unique<HashAggregateOp>(std::move(op), plan_->agg, top_k,
-                                           stats_.get(), cancel_.get());
-  } else {
-    op = std::make_unique<ProjectOp>(std::move(op), plan_->projection_slots);
-    if (plan_->distinct) op = std::make_unique<DistinctOp>(std::move(op));
-  }
-  if (limit != 0) op = std::make_unique<LimitOp>(std::move(op), limit);
-  root_ = std::move(op);
+    : plan_(std::move(plan)), snapshot_(std::move(snapshot)) {
+  pipeline_ = std::make_unique<Pipeline>(
+      *plan_, snapshot_ != nullptr ? snapshot_.get() : source, options, limit,
+      top_k);
 }
 
 Cursor::Cursor(Cursor&&) noexcept = default;
 Cursor& Cursor::operator=(Cursor&&) noexcept = default;
 
 Cursor::~Cursor() {
-  if (stats_ == nullptr || flushed_metrics_) return;
+  if (pipeline_ == nullptr) return;
+  const QueryStats& stats = pipeline_->stats;
   QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.rows_streamed.Increment(stats_->rows_streamed);
-  metrics.patterns_evaluated.Increment(stats_->patterns_evaluated);
-  metrics.index_scans.Increment(stats_->index_scans);
-  if (stats_->agg_groups > 0) {
-    metrics.agg_groups.Increment(stats_->agg_groups);
-  }
-  flushed_metrics_ = true;
+  metrics.rows_streamed.Increment(stats.rows_streamed);
+  metrics.patterns_evaluated.Increment(stats.patterns_evaluated);
+  metrics.index_scans.Increment(stats.index_scans);
+  metrics.agg_groups.Increment(stats.agg_groups);
+  metrics.batches.Increment(stats.batches);
+  metrics.bloom_probes.Increment(stats.bloom_probes);
+  metrics.bloom_hits.Increment(stats.bloom_hits);
 }
 
 bool Cursor::Next(Row* row) {
-  if (stats_->deadline_exceeded || stats_->max_rows_hit) return false;
-  if (max_rows_ != 0 && stats_->rows_streamed >= max_rows_) {
-    stats_->max_rows_hit = true;
-    return false;
-  }
-  // An already-expired deadline ends the stream before the first pull
-  // (deterministic for "give up immediately" requests); otherwise the
-  // operators poll cooperatively from their scan loops.
-  if (cancel_->armed && stats_->rows_streamed == 0 &&
-      std::chrono::steady_clock::now() >= cancel_->deadline) {
-    cancel_->expired = true;
-  }
-  if (cancel_->expired || !root_->Next(row)) {
-    stats_->deadline_exceeded = cancel_->expired;
-    return false;
-  }
-  ++stats_->rows_streamed;
+  Pipeline& p = *pipeline_;
+  if (p.out_next == p.out_rows && !p.Refill()) return false;
+  auto first =
+      p.out.begin() + static_cast<ptrdiff_t>(p.out_next * p.out_width);
+  row->assign(first, first + static_cast<ptrdiff_t>(p.out_width));
+  ++p.out_next;
+  ++p.stats.rows_streamed;
   return true;
 }
 
@@ -373,8 +511,15 @@ const std::vector<std::string>& Cursor::columns() const {
   return plan_->projection_names;
 }
 
+const QueryStats& Cursor::stats() const { return pipeline_->stats; }
+
 Binding Cursor::ToBinding(const Row& row) const {
-  return RowToBinding(plan_->projection_names, row);
+  const std::vector<std::string>& names = plan_->projection_names;
+  Binding binding;
+  for (size_t i = 0; i < names.size() && i < row.size(); ++i) {
+    binding[names[i]] = row[i];
+  }
+  return binding;
 }
 
 // ------------------------------------------------------- QueryEngine
@@ -407,14 +552,13 @@ Cursor QueryEngine::Open(const SelectQuery& query,
   size_t limit = options.pushdown_limit ? query.limit : 0;
   Cursor cursor(std::move(plan), source_->SnapshotSource(), source_, options,
                 limit, query.agg.top_k);
-  cursor.stats_->plan_cache_hit = cache_hit;
+  cursor.pipeline_->stats.plan_cache_hit = cache_hit;
   return cursor;
 }
 
 std::vector<Binding> QueryEngine::Execute(const SelectQuery& query,
                                           const ExecutionOptions& options,
                                           QueryStats* stats) const {
-  if (options.batch_size > 0) return ExecuteBatched(query, options, stats);
   QueryMetrics& metrics = QueryMetrics::Get();
   ScopedTimer timer(metrics.execute_ms);
   Cursor cursor = Open(query, options);
@@ -427,42 +571,6 @@ std::vector<Binding> QueryEngine::Execute(const SelectQuery& query,
   }
   if (stats != nullptr) *stats = cursor.stats();
   metrics.rows.Increment(results.size());
-  return results;
-}
-
-/// The vector-at-a-time mode: same plan (and plan cache), different
-/// executor (query/batch_exec.h).
-std::vector<Binding> QueryEngine::ExecuteBatched(
-    const SelectQuery& query, const ExecutionOptions& options,
-    QueryStats* stats) const {
-  QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.executions.Increment();
-  ScopedTimer timer(metrics.execute_ms);
-  bool cache_hit = false;
-  PlanPtr plan = GetPlan(query, options, &cache_hit);
-  std::shared_ptr<const rdf::TripleSource> snapshot =
-      source_->SnapshotSource();
-  const rdf::TripleSource* src =
-      snapshot != nullptr ? snapshot.get() : source_;
-  QueryStats local;
-  local.plan_cache_hit = cache_hit;
-  std::vector<Row> rows = ExecuteBatch(*plan, query, *src, options, &local);
-  if (!options.pushdown_limit && query.limit != 0 &&
-      rows.size() > query.limit) {
-    rows.resize(query.limit);
-  }
-  std::vector<Binding> results;
-  results.reserve(rows.size());
-  for (const Row& row : rows) {
-    results.push_back(RowToBinding(plan->projection_names, row));
-  }
-  metrics.rows.Increment(results.size());
-  metrics.rows_streamed.Increment(local.rows_streamed);
-  metrics.patterns_evaluated.Increment(local.patterns_evaluated);
-  metrics.index_scans.Increment(local.index_scans);
-  if (local.agg_groups > 0) metrics.agg_groups.Increment(local.agg_groups);
-  BatchMetricsFlush(local);
-  if (stats != nullptr) *stats = local;
   return results;
 }
 

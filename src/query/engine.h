@@ -14,18 +14,18 @@
 namespace kb {
 namespace query {
 
-/// A result row: variable name -> term id. (The executors work on
-/// slot-indexed flat rows and convert at the Execute boundary.)
+/// A result row: variable name -> term id. (The executor works on
+/// slot-indexed id chunks and converts at the Execute boundary.)
 using Binding = std::map<std::string, rdf::TermId>;
 
-/// A slot-indexed flat binding row, the executor's native currency:
-/// row[slot] holds the value of plan->var_names[slot].
+/// A slot-indexed flat row: row[slot] holds the value of
+/// plan->var_names[slot]; Cursor::Next hands out projected rows.
 using Row = std::vector<rdf::TermId>;
 
 /// Per-execution serving limits: a cooperative deadline checked inside
-/// the operator loops (so a join that grinds through millions of
+/// the scan loops (so a join that grinds through millions of
 /// intermediate triples without yielding a row still stops), and a hard
-/// cap on produced rows. Both are enforced by Cursor::Next; when either
+/// cap on produced rows. Both are enforced by the Cursor; when either
 /// trips, the cursor ends its stream and flags QueryStats, so callers
 /// can distinguish "exhausted" from "cut off" (and e.g. refuse to serve
 /// or cache a truncated result).
@@ -51,74 +51,43 @@ struct ExecutionOptions {
   bool pushdown_limit = true;
   /// Serving limits (deadline + row cap).
   ExecOptions exec;
-  /// Vector-at-a-time execution (E19 ablation): when > 0, Execute runs
-  /// the plan through the batch executor — scans fill id-column chunks
-  /// of this many rows, join levels probe a chunk at a time, and
-  /// selective join levels get a Bloom-filter semijoin prefilter built
-  /// from the smaller side (query/batch_exec.h). 0 = the Volcano
-  /// row-at-a-time pipeline. Plans (and the plan cache) are shared
-  /// between both modes.
-  size_t batch_size = 0;
 };
 
 /// Execution counters.
 struct QueryStats {
   uint64_t patterns_evaluated = 0;  ///< index scans opened
-  uint64_t intermediate_rows = 0;   ///< triples visited across all levels
+  /// Triples visited across all levels, Bloom filter builds included.
+  uint64_t intermediate_rows = 0;
   uint64_t index_scans = 0;
-  uint64_t rows_streamed = 0;  ///< rows the root operator produced
+  uint64_t rows_streamed = 0;  ///< rows the cursor handed out
   /// Groups the hash aggregator materialized (aggregate queries only).
   uint64_t agg_groups = 0;
-  /// Id-column chunks the batch executor filled (batch mode only).
+  /// Id-column chunks the pipeline delivered to its consumer.
   uint64_t batches = 0;
-  /// Bloom-semijoin prefilter probes / passes (batch mode only). A
-  /// probe that misses skips the index lookup for that outer row.
+  /// Bloom-semijoin prefilter probes / passes. A probe that misses
+  /// skips the index lookup for that outer row.
   uint64_t bloom_probes = 0;
   uint64_t bloom_hits = 0;
   bool plan_cache_hit = false;
   /// The ExecOptions deadline expired before the stream was exhausted:
   /// whatever rows were produced are a prefix, not the full result.
   bool deadline_exceeded = false;
-  /// The ExecOptions row cap stopped the stream.
+  /// The ExecOptions row cap cut off at least one further row.
   bool max_rows_hit = false;
 };
 
-/// A pull cursor over one executing query: the root of a Volcano-style
-/// operator tree (IndexScan -> IndexNestedLoopJoin* -> Project ->
-/// Distinct? -> Limit?). Rows are produced on demand, so LIMIT stops
-/// the pipeline without materializing intermediates. Movable,
-/// single-consumer; holds the source snapshot alive.
+/// A pull cursor over one executing query. Underneath, a left-deep
+/// pipeline moves column-major id chunks: the leaf index scan, one
+/// index nested-loop join level per further pattern (with a Bloom
+/// semijoin prefilter where it pays), then projection + DISTINCT, or a
+/// hash aggregate. Chunk capacity follows demand: the first chunk holds
+/// one row, each later pull doubles it up to a fixed maximum, and no
+/// chunk exceeds what LIMIT and the row cap still allow — so an
+/// abandoned or LIMITed cursor does little more work than the rows it
+/// handed out. Movable, single-consumer; holds the source snapshot
+/// alive.
 class Cursor {
  public:
-  class Operator;  ///< defined in engine.cc
-
-  /// Shared cooperative-cancellation state for one execution. The scan
-  /// and join operators (row and batch mode) poll Expired() from their
-  /// inner loops, so a deadline cuts off even executions that churn
-  /// through intermediate triples without ever surfacing a row. The
-  /// clock is only consulted every kCheckStride polls (a steady_clock
-  /// read per triple would dominate scan cost); once expired, the
-  /// state latches.
-  struct CancelState {
-    static constexpr uint32_t kCheckStride = 256;
-
-    std::chrono::steady_clock::time_point deadline{};
-    uint32_t polls_until_check = 0;  ///< first poll checks the clock
-    bool armed = false;
-    bool expired = false;
-
-    bool Expired() {
-      if (!armed || expired) return expired;
-      if (polls_until_check > 0) {
-        --polls_until_check;
-        return false;
-      }
-      polls_until_check = kCheckStride - 1;
-      expired = std::chrono::steady_clock::now() >= deadline;
-      return expired;
-    }
-  };
-
   Cursor(Cursor&&) noexcept;
   Cursor& operator=(Cursor&&) noexcept;
   ~Cursor();
@@ -130,27 +99,25 @@ class Cursor {
   const std::vector<std::string>& columns() const;
 
   /// Counters so far (final once Next returned false).
-  const QueryStats& stats() const { return *stats_; }
+  const QueryStats& stats() const;
 
   /// Converts a projected row to the map-based Binding.
   Binding ToBinding(const Row& row) const;
 
  private:
   friend class QueryEngine;
+  struct Pipeline;  ///< defined in engine.cc
+
   Cursor(PlanPtr plan, std::shared_ptr<const rdf::TripleSource> snapshot,
          const rdf::TripleSource* source, const ExecutionOptions& options,
          size_t limit, size_t top_k);
 
   PlanPtr plan_;
   std::shared_ptr<const rdf::TripleSource> snapshot_;  ///< may be null
-  std::unique_ptr<CancelState> cancel_;
-  std::unique_ptr<Operator> root_;
-  std::unique_ptr<QueryStats> stats_;
-  size_t max_rows_ = 0;  ///< ExecOptions row cap (0 = unlimited)
-  bool flushed_metrics_ = false;
+  std::unique_ptr<Pipeline> pipeline_;
 };
 
-/// Compiles SelectQuerys into streaming operator pipelines over any
+/// Compiles SelectQuerys into chunked id pipelines over any
 /// TripleSource (in-memory TripleStore, one of its snapshots, or the
 /// LSM-backed storage::StoredTripleSource) with index nested-loop
 /// joins, greedy selectivity-based join ordering and an LRU plan
@@ -164,7 +131,8 @@ class QueryEngine {
                        PlanCache* cache = nullptr)
       : source_(source), cache_(cache != nullptr ? cache : &own_cache_) {}
 
-  /// Runs the query, returning all result rows (projected).
+  /// Runs the query, returning all result rows (projected): drains
+  /// the cursor Open returns.
   std::vector<Binding> Execute(const SelectQuery& query,
                                const ExecutionOptions& options = {},
                                QueryStats* stats = nullptr) const;
@@ -176,9 +144,6 @@ class QueryEngine {
  private:
   PlanPtr GetPlan(const SelectQuery& query, const ExecutionOptions& options,
                   bool* cache_hit) const;
-  std::vector<Binding> ExecuteBatched(const SelectQuery& query,
-                                      const ExecutionOptions& options,
-                                      QueryStats* stats) const;
 
   const rdf::TripleSource* source_;
   PlanCache* cache_;

@@ -384,6 +384,25 @@ TEST_F(QueryFixture, ParseLiteralObjectWithSpaces) {
 
 // ------------------------------------------------- Equivalence property
 
+/// Mirrors `store` into an attached FrameStore with the same term ids,
+/// so one query runs against both storage layouts; null on failure.
+std::shared_ptr<const rdf::FrameStore> MirrorToFrameStore(
+    const rdf::TripleStore& store) {
+  rdf::FrameStoreBuilder builder;
+  for (TermId id = 1; id <= store.dict().size(); ++id) {
+    builder.AddTerm(store.dict().term(id));
+  }
+  for (const rdf::Triple& t : store.MatchFullScan(rdf::TriplePattern())) {
+    builder.AddTriple(t);
+  }
+  auto bytes = builder.Serialize();
+  if (!bytes.ok()) return nullptr;
+  auto owner = std::make_shared<std::string>(std::move(*bytes));
+  auto frame = rdf::FrameStore::Attach(owner->data(), owner->size(), owner);
+  if (!frame.ok()) return nullptr;
+  return *frame;
+}
+
 // Canonical form for multiset comparison across executors.
 std::vector<std::vector<std::pair<std::string, TermId>>> Canonical(
     std::vector<Binding> rows) {
@@ -441,7 +460,7 @@ std::vector<Binding> BruteForce(const rdf::TripleStore& store,
   return out;
 }
 
-TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
+TEST(QueryPropertyTest, ExecutorMatchesBruteForceOnRandomStoresAndQueries) {
   for (uint32_t seed : {1u, 7u, 42u}) {
     std::mt19937 rng(seed);
     rdf::TripleStore store;
@@ -460,8 +479,11 @@ TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
     for (int i = 0; i < 60; ++i) {
       store.Add({pick(entities), pick(predicates), pick(entities)});
     }
+    std::shared_ptr<const rdf::FrameStore> frame = MirrorToFrameStore(store);
+    ASSERT_NE(frame, nullptr);
 
-    QueryEngine engine(&store);
+    QueryEngine store_engine(&store);
+    QueryEngine frame_engine(frame.get());
     const char* vars[] = {"x", "y", "z"};
     for (int trial = 0; trial < 40; ++trial) {
       SelectQuery q;
@@ -491,19 +513,24 @@ TEST(QueryPropertyTest, ExecutorsAgreeOnRandomStoresAndQueries) {
       }
       auto expected = Canonical(BruteForce(store, q));
 
-      ExecutionOptions streaming;  // defaults
+      ExecutionOptions reordered;  // defaults
       ExecutionOptions written_order;
       written_order.reorder_patterns = false;
-      // Chunks of 3 split most results across several batches, so
-      // DISTINCT and the join levels see rows arrive in pieces.
-      ExecutionOptions batched;
-      batched.batch_size = 3;
-      EXPECT_EQ(Canonical(engine.Execute(q, streaming)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, written_order)), expected)
-          << "seed=" << seed << " trial=" << trial;
-      EXPECT_EQ(Canonical(engine.Execute(q, batched)), expected)
-          << "seed=" << seed << " trial=" << trial;
+      for (QueryEngine* engine : {&store_engine, &frame_engine}) {
+        const char* label = engine == &store_engine ? "store" : "frame";
+        for (const ExecutionOptions* opts : {&reordered, &written_order}) {
+          QueryStats stats;
+          EXPECT_EQ(Canonical(engine->Execute(q, *opts, &stats)), expected)
+              << label << " seed=" << seed << " trial=" << trial;
+          // Chunks start at one row and double, so any result of 3+
+          // rows crossed a chunk boundary: DISTINCT and the join levels
+          // saw rows arrive in pieces.
+          if (expected.size() >= 3) {
+            EXPECT_GE(stats.batches, 2u)
+                << label << " seed=" << seed << " trial=" << trial;
+          }
+        }
+      }
     }
   }
 }
@@ -656,67 +683,6 @@ TEST_F(QueryFixture, AggregatePlanKeyDistinctFromPlainShape) {
   EXPECT_TRUE(topk_stats.plan_cache_hit);
 }
 
-// ------------------------------------------------------- Batch execution
-
-TEST_F(QueryFixture, BatchModeMatchesRowModeOnJoins) {
-  SelectQuery q;
-  q.projection = {"who"};
-  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
-                     QueryTerm::Bound(springfield_)});
-  QueryEngine engine(&store_);
-  auto expected = Canonical(engine.Execute(q));
-  for (size_t batch : {1u, 2u, 1024u}) {
-    ExecutionOptions opts;
-    opts.batch_size = batch;
-    QueryStats stats;
-    EXPECT_EQ(Canonical(engine.Execute(q, opts, &stats)), expected)
-        << "batch_size=" << batch;
-    EXPECT_GE(stats.batches, 1u);
-  }
-}
-
-TEST_F(QueryFixture, BatchBloomPrefilterSkipsNonMatchingOuterRows) {
-  // Written order (reordering off): the unselective scan feeds the
-  // join, the selective level gets a Bloom prefilter built from its
-  // one-row inner side.
-  SelectQuery q;
-  q.projection = {"who"};
-  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
-                     QueryTerm::Var("c")});
-  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
-                     QueryTerm::Bound(springfield_)});
-  QueryEngine engine(&store_);
-  ExecutionOptions opts;
-  opts.batch_size = 16;
-  opts.reorder_patterns = false;
-  QueryStats stats;
-  auto rows = engine.Execute(q, opts, &stats);
-  EXPECT_EQ(rows.size(), 2u);
-  // Three outer rows probed; the two acme rows pass, globex is
-  // eliminated without ever touching the index.
-  EXPECT_EQ(stats.bloom_probes, 3u);
-  EXPECT_EQ(stats.bloom_hits, 2u);
-}
-
-TEST_F(QueryFixture, BatchModeMatchesRowModeOnAggregates) {
-  for (const char* sparql :
-       {"SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
-        "GROUP BY ?c",
-        "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?p <worksFor> ?c . }",
-        "SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
-        "GROUP BY ?c ORDER BY DESC(?n) LIMIT 1"}) {
-    auto parsed = ParseSparql(sparql, store_.dict());
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    QueryEngine engine(&store_);
-    auto expected = Canonical(engine.Execute(*parsed));
-    ExecutionOptions opts;
-    opts.batch_size = 2;
-    EXPECT_EQ(Canonical(engine.Execute(*parsed, opts)), expected) << sparql;
-  }
-}
-
 // -------------------------------------------- Aggregate property tests
 
 /// Reference aggregate evaluator: brute-force join rows, then fold by
@@ -788,7 +754,7 @@ std::vector<std::vector<TermId>> AggRows(const std::vector<Binding>& rows,
   return out;
 }
 
-TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossModesAndStores) {
+TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossStores) {
   for (uint32_t seed : {3u, 11u, 29u}) {
     std::mt19937 rng(seed);
     rdf::TripleStore store;
@@ -810,21 +776,11 @@ TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossModesAndStores) {
 
     // Mirror the store into a FrameStore (same term ids), so every
     // trial also runs against the mmap-shaped source.
-    rdf::FrameStoreBuilder builder;
-    for (TermId id = 1; id <= store.dict().size(); ++id) {
-      builder.AddTerm(store.dict().term(id));
-    }
-    for (const rdf::Triple& t : store.MatchFullScan(rdf::TriplePattern())) {
-      builder.AddTriple(t);
-    }
-    auto bytes = builder.Serialize();
-    ASSERT_TRUE(bytes.ok()) << bytes.status();
-    auto owner = std::make_shared<std::string>(std::move(*bytes));
-    auto frame = rdf::FrameStore::Attach(owner->data(), owner->size(), owner);
-    ASSERT_TRUE(frame.ok()) << frame.status();
+    std::shared_ptr<const rdf::FrameStore> frame = MirrorToFrameStore(store);
+    ASSERT_NE(frame, nullptr);
 
     QueryEngine store_engine(&store);
-    QueryEngine frame_engine(frame->get());
+    QueryEngine frame_engine(frame.get());
     const char* vars[] = {"x", "y", "z"};
     for (int trial = 0; trial < 30; ++trial) {
       SelectQuery q;
@@ -855,23 +811,186 @@ TEST(QueryPropertyTest, AggregatesMatchBruteForceAcrossModesAndStores) {
       if (top_k) q.agg.top_k = 1 + rng() % 3;
 
       auto expected = BruteForceAgg(store, q);
-      auto check = [&](QueryEngine& engine, size_t batch_size,
-                       const char* label) {
-        ExecutionOptions opts;
-        opts.batch_size = batch_size;
-        auto got = AggRows(engine.Execute(q, opts), q);
+      auto check = [&](QueryEngine& engine, const char* label) {
+        auto got = AggRows(engine.Execute(q), q);
         if (q.agg.top_k == 0) std::sort(got.begin(), got.end());
         std::vector<std::vector<TermId>> want = expected;
         if (q.agg.top_k == 0) std::sort(want.begin(), want.end());
         EXPECT_EQ(got, want) << label << " seed=" << seed
                              << " trial=" << trial;
       };
-      check(store_engine, 0, "store/row");
-      check(store_engine, 3, "store/batch");
-      check(frame_engine, 0, "frame/row");
-      check(frame_engine, 7, "frame/batch");
+      check(store_engine, "store");
+      check(frame_engine, "frame");
     }
   }
+}
+
+// ------------------------------------------- Chunked pipeline contracts
+
+/// The fixture's store and its FrameStore mirror, for tests that pin
+/// executor behaviour on both storage layouts.
+class ChunkedPipelineTest : public QueryFixture {
+ protected:
+  void SetUp() override {
+    QueryFixture::SetUp();
+    frame_ = MirrorToFrameStore(store_);
+    ASSERT_NE(frame_, nullptr);
+  }
+
+  std::vector<std::pair<const char*, const rdf::TripleSource*>> Sources()
+      const {
+    return {{"store", &store_}, {"frame", frame_.get()}};
+  }
+
+  std::shared_ptr<const rdf::FrameStore> frame_;
+};
+
+TEST_F(ChunkedPipelineTest, JoinMatchesBruteForce) {
+  SelectQuery q;
+  q.projection = {"who"};
+  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
+                     QueryTerm::Var("c")});
+  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
+                     QueryTerm::Bound(springfield_)});
+  auto expected = Canonical(BruteForce(store_, q));
+  ASSERT_EQ(expected.size(), 2u);
+  for (const auto& [label, source] : Sources()) {
+    QueryEngine engine(source);
+    for (bool reorder : {true, false}) {
+      ExecutionOptions opts;
+      opts.reorder_patterns = reorder;
+      QueryStats stats;
+      EXPECT_EQ(Canonical(engine.Execute(q, opts, &stats)), expected)
+          << label << " reorder=" << reorder;
+      EXPECT_GE(stats.batches, 1u) << label;
+    }
+  }
+}
+
+TEST_F(ChunkedPipelineTest, BloomPrefilterSkipsNonMatchingOuterRows) {
+  // Written order (reordering off): the unselective scan feeds the
+  // join, and the selective level gets a Bloom prefilter built from
+  // its one-row inner side.
+  SelectQuery q;
+  q.projection = {"who"};
+  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
+                     QueryTerm::Var("c")});
+  q.where.push_back({QueryTerm::Var("c"), QueryTerm::Bound(located_in_),
+                     QueryTerm::Bound(springfield_)});
+  auto expected = Canonical(BruteForce(store_, q));
+  for (const auto& [label, source] : Sources()) {
+    QueryEngine engine(source);
+    ExecutionOptions opts;
+    opts.reorder_patterns = false;
+    QueryStats stats;
+    auto rows = engine.Execute(q, opts, &stats);
+    EXPECT_EQ(Canonical(rows), expected) << label;
+    EXPECT_EQ(rows.size(), 2u) << label;
+    // Three outer rows probed; the two acme rows pass, globex is
+    // eliminated without ever touching the index.
+    EXPECT_EQ(stats.bloom_probes, 3u) << label;
+    EXPECT_EQ(stats.bloom_hits, 2u) << label;
+  }
+}
+
+TEST_F(ChunkedPipelineTest, AggregatesMatchBruteForce) {
+  for (const char* sparql :
+       {"SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
+        "GROUP BY ?c",
+        "SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?p <worksFor> ?c . }",
+        "SELECT ?c (COUNT(?p) AS ?n) WHERE { ?p <worksFor> ?c . } "
+        "GROUP BY ?c ORDER BY DESC(?n) LIMIT 1"}) {
+    auto parsed = ParseSparql(sparql, store_.dict());
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    auto want = BruteForceAgg(store_, *parsed);
+    if (parsed->agg.top_k == 0) std::sort(want.begin(), want.end());
+    for (const auto& [label, source] : Sources()) {
+      QueryEngine engine(source);
+      auto got = AggRows(engine.Execute(*parsed), *parsed);
+      if (parsed->agg.top_k == 0) std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << label << ": " << sparql;
+    }
+  }
+}
+
+TEST_F(ChunkedPipelineTest, GroundPatternYieldsOneEmptyRowPerMatch) {
+  // No variables: every row is zero columns wide, and a matching
+  // pattern still yields exactly one (empty) row.
+  SelectQuery q;
+  q.where.push_back({QueryTerm::Bound(alice_), QueryTerm::Bound(works_for_),
+                     QueryTerm::Bound(acme_)});
+  for (const auto& [label, source] : Sources()) {
+    QueryEngine engine(source);
+    auto rows = engine.Execute(q);
+    ASSERT_EQ(rows.size(), 1u) << label;
+    EXPECT_TRUE(rows[0].empty()) << label;
+  }
+  q.where[0].o = QueryTerm::Bound(globex_);
+  EXPECT_TRUE(QueryEngine(&store_).Execute(q).empty());
+}
+
+TEST(ChunkedLimitTest, LimitCapsChunksOnOneToOneJoin) {
+  // A 1:1 join: every person has exactly one employer. LIMIT n must
+  // visit n leaf triples plus n probe matches, no more — a chunk that
+  // overshot the LIMIT would scan rows nobody asked for.
+  rdf::TripleStore store;
+  TermId works_for = store.dict().Intern(Term::Iri("worksFor"));
+  TermId born_in = store.dict().Intern(Term::Iri("bornIn"));
+  for (int i = 0; i < 500; ++i) {
+    TermId person =
+        store.dict().Intern(Term::Iri("person" + std::to_string(i)));
+    store.Add({person, works_for,
+               store.dict().Intern(Term::Iri("co" + std::to_string(i)))});
+    store.Add({person, born_in,
+               store.dict().Intern(Term::Iri("city" + std::to_string(i)))});
+  }
+  std::shared_ptr<const rdf::FrameStore> frame = MirrorToFrameStore(store);
+  ASSERT_NE(frame, nullptr);
+  SelectQuery q;
+  q.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(works_for),
+                     QueryTerm::Var("c")});
+  q.where.push_back({QueryTerm::Var("p"), QueryTerm::Bound(born_in),
+                     QueryTerm::Var("b")});
+  for (const rdf::TripleSource* source :
+       {static_cast<const rdf::TripleSource*>(&store),
+        static_cast<const rdf::TripleSource*>(frame.get())}) {
+    QueryEngine engine(source);
+    for (size_t n : {1u, 3u, 100u, 300u}) {
+      q.limit = n;
+      QueryStats stats;
+      EXPECT_EQ(engine.Execute(q, {}, &stats).size(), n);
+      EXPECT_LE(stats.intermediate_rows, 2 * n) << "LIMIT " << n;
+      if (n >= 3) EXPECT_GE(stats.batches, 2u) << "LIMIT " << n;
+    }
+  }
+}
+
+TEST_F(QueryFixture, ExactlyMaxRowsIsNotTruncated) {
+  // Two people work for Acme. A row cap of exactly 2 loses nothing, so
+  // the stream must not claim truncation; a cap of 1 really cuts a row.
+  SelectQuery q;
+  q.projection = {"who"};
+  q.where.push_back({QueryTerm::Var("who"), QueryTerm::Bound(works_for_),
+                     QueryTerm::Bound(acme_)});
+  QueryEngine engine(&store_);
+  ExecutionOptions exact;
+  exact.exec.max_rows = 2;
+  QueryStats exact_stats;
+  EXPECT_EQ(engine.Execute(q, exact, &exact_stats).size(), 2u);
+  EXPECT_FALSE(exact_stats.max_rows_hit);
+
+  ExecutionOptions capped;
+  capped.exec.max_rows = 1;
+  QueryStats capped_stats;
+  EXPECT_EQ(engine.Execute(q, capped, &capped_stats).size(), 1u);
+  EXPECT_TRUE(capped_stats.max_rows_hit);
+
+  // A LIMIT equal to the cap ends the result, it does not truncate it.
+  q.where[0].o = QueryTerm::Var("c");
+  q.limit = 2;
+  QueryStats limited_stats;
+  EXPECT_EQ(engine.Execute(q, exact, &limited_stats).size(), 2u);
+  EXPECT_FALSE(limited_stats.max_rows_hit);
 }
 
 }  // namespace

@@ -262,6 +262,23 @@ TEST(KbServerTest, MaxRowsTruncatesWithoutPoisoningCache) {
   EXPECT_EQ(full->rows.size(), 2u);
 }
 
+TEST(KbServerTest, ExactlyMaxRowsIsNotTruncated) {
+  // The Acme query has exactly 2 rows: a cap of 2 cuts nothing, so the
+  // result is complete — not flagged truncated, and cacheable.
+  TestServer ts;
+  KbClient client = ts.Connect();
+  auto first = client.Query(WorksForQuery("Acme_Corp"), -1, /*max_rows=*/2);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->rows.size(), 2u);
+  EXPECT_FALSE(first->truncated);
+  EXPECT_FALSE(first->cached);
+  auto again = client.Query(WorksForQuery("Acme_Corp"), -1, /*max_rows=*/2);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->rows.size(), 2u);
+  EXPECT_FALSE(again->truncated);
+  EXPECT_TRUE(again->cached);
+}
+
 TEST(KbServerTest, OutOfRangeNumericFieldsAreBadRequests) {
   TestServer ts;
   KbClient client = ts.Connect();
