@@ -21,7 +21,6 @@ struct QueryMetrics {
   Counter& executions;
   Counter& rows;
   Counter& rows_streamed;
-  Counter& patterns_evaluated;
   Counter& index_scans;
   Counter& plan_cache_hits;
   Counter& plan_cache_misses;
@@ -38,7 +37,6 @@ struct QueryMetrics {
           r.counter("query.executions"),
           r.counter("query.rows"),
           r.counter("query.rows_streamed"),
-          r.counter("query.patterns_evaluated"),
           r.counter("query.index_scans"),
           r.counter("query.plan_cache_hits"),
           r.counter("query.plan_cache_misses"),
@@ -271,7 +269,6 @@ bool Cursor::Pipeline::Pull(size_t i, size_t capacity, Chunk* out) {
     if (level.iter == nullptr) {
       level.iter = source->NewScan(ScanPattern(level.scan, Row()));
       ++stats.index_scans;
-      ++stats.patterns_evaluated;
     }
     rdf::ScanIterator& iter = *level.iter;
     while (iter.Valid() && out->rows < capacity) {
@@ -322,7 +319,6 @@ bool Cursor::Pipeline::Pull(size_t i, size_t capacity, Chunk* out) {
     }
     level.iter = source->NewScan(ScanPattern(level.scan, level.outer));
     ++stats.index_scans;
-    ++stats.patterns_evaluated;
   }
 }
 
@@ -488,7 +484,6 @@ Cursor::~Cursor() {
   const QueryStats& stats = pipeline_->stats;
   QueryMetrics& metrics = QueryMetrics::Get();
   metrics.rows_streamed.Increment(stats.rows_streamed);
-  metrics.patterns_evaluated.Increment(stats.patterns_evaluated);
   metrics.index_scans.Increment(stats.index_scans);
   metrics.agg_groups.Increment(stats.agg_groups);
   metrics.batches.Increment(stats.batches);

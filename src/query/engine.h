@@ -55,10 +55,9 @@ struct ExecutionOptions {
 
 /// Execution counters.
 struct QueryStats {
-  uint64_t patterns_evaluated = 0;  ///< index scans opened
   /// Triples visited across all levels, Bloom filter builds included.
   uint64_t intermediate_rows = 0;
-  uint64_t index_scans = 0;
+  uint64_t index_scans = 0;  ///< index scans opened, Bloom builds included
   uint64_t rows_streamed = 0;  ///< rows the cursor handed out
   /// Groups the hash aggregator materialized (aggregate queries only).
   uint64_t agg_groups = 0;

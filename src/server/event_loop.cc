@@ -39,13 +39,10 @@ std::string FrameOf(const std::string& payload) {
 
 }  // namespace
 
-EventLoop::EventLoop(const EventServerOptions* options,
-                     const EventHooks* hooks, std::atomic<size_t>* open_conns,
-                     std::atomic<bool>* draining)
-    : options_(options),
-      hooks_(hooks),
-      open_conns_(open_conns),
-      draining_(draining),
+EventLoop::EventLoop(EventServer* server)
+    : server_(server),
+      options_(server->options_),
+      metrics_(server->metrics_),
       last_sweep_(std::chrono::steady_clock::now()) {}
 
 EventLoop::~EventLoop() {
@@ -105,9 +102,9 @@ void EventLoop::Post(std::function<void()> fn) {
 
 void EventLoop::Run() {
   int timeout_ms = -1;
-  if (options_->idle_timeout_ms > 0) {
+  if (options_.idle_timeout_ms > 0) {
     timeout_ms = static_cast<int>(
-        std::clamp(options_->idle_timeout_ms / 4.0, 5.0, 500.0));
+        std::clamp(options_.idle_timeout_ms / 4.0, 5.0, 500.0));
   }
   epoll_event events[64];
   for (;;) {
@@ -117,9 +114,7 @@ void EventLoop::Run() {
       if (errno == EINTR) continue;
       break;
     }
-    if (options_->epoll_wakeups != nullptr) {
-      options_->epoll_wakeups->Increment();
-    }
+    if (metrics_.epoll_wakeups != nullptr) metrics_.epoll_wakeups->Increment();
     for (int i = 0; i < n; ++i) {
       uint64_t tag = events[i].data.u64;
       if (tag == kWakeTag) {
@@ -165,32 +160,29 @@ void EventLoop::AcceptReady() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    bool shed = stop_requested_ || draining_->load();
-    if (!shed && options_->max_connections > 0) {
-      // fetch_add-then-check so two loops racing past the cap cannot
-      // both admit.
-      if (open_conns_->fetch_add(1) >= options_->max_connections) {
-        open_conns_->fetch_sub(1);
-        shed = true;
-      }
-    } else if (!shed) {
-      open_conns_->fetch_add(1);
+    bool shed = stop_requested_ || server_->draining_.load();
+    // fetch_add-then-check so two loops racing past the cap cannot
+    // both admit.
+    if (!shed &&
+        server_->open_conns_.fetch_add(1) >= options_.max_connections) {
+      server_->open_conns_.fetch_sub(1);
+      shed = true;
     }
     if (shed) {
       ShedAccept(fd);
       continue;
     }
-    if (options_->open_connections != nullptr) {
-      options_->open_connections->Add(1);
+    if (metrics_.open_connections != nullptr) {
+      metrics_.open_connections->Add(1);
     }
     auto conn = std::make_shared<Conn>(this, fd, ++next_conn_id_);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = conn.get();
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      open_conns_->fetch_sub(1);
-      if (options_->open_connections != nullptr) {
-        options_->open_connections->Add(-1);
+      server_->open_conns_.fetch_sub(1);
+      if (metrics_.open_connections != nullptr) {
+        metrics_.open_connections->Add(-1);
       }
       continue;  // conn's destructor closes the fd
     }
@@ -199,13 +191,11 @@ void EventLoop::AcceptReady() {
 }
 
 void EventLoop::ShedAccept(int fd) {
-  if (options_->sheds != nullptr) options_->sheds->Increment();
-  if (!hooks_->shed_response.empty()) {
-    // Best effort: tell the peer why before hanging up. If the socket
-    // buffer is somehow full we close anyway rather than block.
-    std::string framed = FrameOf(hooks_->shed_response);
-    ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-  }
+  if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
+  // Best effort: tell the peer why before hanging up. If the socket
+  // buffer is somehow full we close anyway rather than block.
+  std::string framed = FrameOf(server_->overloaded_);
+  ::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   ::close(fd);
 }
 
@@ -268,28 +258,28 @@ void EventLoop::ParseFrames(Conn* conn) {
       // The stream cannot be re-framed past this point; answer (in
       // order, behind anything already in flight) and close.
       uint64_t seq = conn->next_seq_++;
-      std::string response;
-      if (hooks_->bad_frame_response) {
-        response = hooks_->bad_frame_response(
-            "frame length " + std::to_string(len) + " exceeds limit " +
-            std::to_string(kMaxFrameBytes));
-      }
-      CompleteOnLoop(conn, seq, std::move(response), /*close_after=*/true);
+      if (metrics_.errors != nullptr) metrics_.errors->Increment();
+      CompleteOnLoop(conn, seq,
+                     ErrorJson("bad_frame",
+                               "frame length " + std::to_string(len) +
+                                   " exceeds limit " +
+                                   std::to_string(kMaxFrameBytes)),
+                     /*close_after=*/true);
       break;
     }
     if (avail - 4 < len) break;  // wait for the rest of the payload
     std::string payload = conn->rbuf_.substr(conn->rpos_ + 4, len);
     conn->rpos_ += 4 + static_cast<size_t>(len);
     uint64_t seq = conn->next_seq_++;
-    if (seq > conn->next_flush_ && options_->pipelined_frames != nullptr) {
+    if (seq > conn->next_flush_ && metrics_.pipelined_frames != nullptr) {
       // An earlier frame is still unanswered: the client pipelined.
-      options_->pipelined_frames->Increment();
+      metrics_.pipelined_frames->Increment();
     }
-    if (conn->next_seq_ - conn->next_flush_ >= options_->max_pipeline) {
+    if (conn->next_seq_ - conn->next_flush_ >= options_.max_pipeline) {
       conn->read_paused_ = true;
       UpdateInterest(conn);
     }
-    hooks_->on_frame(conns_.at(conn->fd_), seq, std::move(payload));
+    server_->Admit(conns_.at(conn->fd_), seq, std::move(payload));
     if (conn->read_paused_) break;
   }
   if (conn->closed_) return;
@@ -334,7 +324,7 @@ void EventLoop::FlushReady(Conn* conn) {
   conn->last_active_ = std::chrono::steady_clock::now();
   // Un-pause reading once the pipeline has drained below half the cap.
   if (conn->read_paused_ && !conn->close_pending_ && !conn->read_eof_ &&
-      conn->next_seq_ - conn->next_flush_ <= options_->max_pipeline / 2) {
+      conn->next_seq_ - conn->next_flush_ <= options_.max_pipeline / 2) {
     conn->read_paused_ = false;
     UpdateInterest(conn);
     // Bytes may already sit parsed-but-unconsumed in rbuf_; epoll will
@@ -406,11 +396,11 @@ void EventLoop::UpdateInterest(Conn* conn) {
 }
 
 void EventLoop::SweepIdle() {
-  if (options_->idle_timeout_ms <= 0) return;
+  if (options_.idle_timeout_ms <= 0) return;
   auto now = std::chrono::steady_clock::now();
   double since_ms =
       std::chrono::duration<double, std::milli>(now - last_sweep_).count();
-  if (since_ms < options_->idle_timeout_ms / 4.0) return;
+  if (since_ms < options_.idle_timeout_ms / 4.0) return;
   last_sweep_ = now;
   std::vector<Conn*> idle;
   for (auto& [fd, conn] : conns_) {
@@ -418,10 +408,10 @@ void EventLoop::SweepIdle() {
     double idle_ms = std::chrono::duration<double, std::milli>(
                          now - conn->last_active_)
                          .count();
-    if (idle_ms >= options_->idle_timeout_ms) idle.push_back(conn.get());
+    if (idle_ms >= options_.idle_timeout_ms) idle.push_back(conn.get());
   }
   for (Conn* conn : idle) {
-    if (options_->idle_closed != nullptr) options_->idle_closed->Increment();
+    if (metrics_.idle_closed != nullptr) metrics_.idle_closed->Increment();
     CloseConn(conn);
   }
 }
@@ -440,9 +430,9 @@ void EventLoop::CloseConn(Conn* conn) {
     graveyard_.push_back(std::move(it->second));
     conns_.erase(it);
   }
-  open_conns_->fetch_sub(1);
-  if (options_->open_connections != nullptr) {
-    options_->open_connections->Add(-1);
+  server_->open_conns_.fetch_sub(1);
+  if (metrics_.open_connections != nullptr) {
+    metrics_.open_connections->Add(-1);
   }
 }
 
@@ -450,8 +440,20 @@ void EventLoop::CloseAll() {
   while (!conns_.empty()) CloseConn(conns_.begin()->second.get());
 }
 
-EventServer::EventServer(const EventServerOptions& options, EventHooks hooks)
-    : options_(options), hooks_(std::move(hooks)) {}
+EventServer::EventServer(const FrontDoorOptions& options,
+                         const EventMetrics& metrics, EventHooks hooks)
+    : options_(options),
+      metrics_(metrics),
+      hooks_(std::move(hooks)),
+      overloaded_(OverloadedJson(options.retry_after_ms)) {
+  options_.num_workers = std::max(1, options_.num_workers);
+  if (options_.max_connections == 0) {
+    // Every worker busy plus a full queue: the N+Q+1'th concurrent
+    // connection is refused with the retry hint.
+    options_.max_connections =
+        static_cast<size_t>(options_.num_workers) + options_.queue_depth;
+  }
+}
 
 EventServer::~EventServer() { Stop(); }
 
@@ -488,8 +490,7 @@ Status EventServer::Start() {
 
   int io_threads = std::max(1, options_.io_threads);
   for (int i = 0; i < io_threads; ++i) {
-    auto loop = std::make_unique<EventLoop>(&options_, &hooks_, &open_conns_,
-                                            &draining_);
+    auto loop = std::make_unique<EventLoop>(this);
     Status s = loop->Init(listen_fd_);
     if (!s.ok()) {
       for (auto& started : loops_) started->Stop();
@@ -500,18 +501,101 @@ Status EventServer::Start() {
     }
     loops_.push_back(std::move(loop));
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    started_ = true;
+  }
+  workers_.reserve(static_cast<size_t>(options_.num_workers));
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   for (auto& loop : loops_) loop->Start();
-  started_ = true;
   return Status::OK();
 }
 
 void EventServer::Stop() {
-  if (!started_ || stopped_) return;
-  stopped_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!started_ || stopping_) return;
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  // Order matters: joining the I/O threads first means any late worker
+  // Complete() is dropped at the loop's post gate instead of racing a
+  // dying epoll set.
   for (auto& loop : loops_) loop->Stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  queue_.clear();
+  if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Set(0);
+}
+
+void EventServer::Drain(double timeout_ms) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!started_ || stopping_) return;
+  }
+  // From here fresh accepts are shed with the retry hint (a router
+  // treats that as unhealthy and fails over), and each established
+  // connection closes right after its next flushed response. Idle
+  // connections are left alone until the timeout: they hold no worker
+  // and owe nobody a response.
+  draining_.store(true);
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::duration<double, std::milli>(
+                      timeout_ms > 0 ? timeout_ms : 0);
+  while (open_conns_.load() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  Stop();
+}
+
+void EventServer::Admit(const ConnRef& conn, uint64_t seq,
+                        std::string payload) {
+  // Never run request logic on the I/O thread: queue it or shed it.
+  bool admitted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stopping_ && queue_.size() < options_.queue_depth) {
+      queue_.push_back(PendingRequest{conn, seq, std::move(payload)});
+      if (metrics_.queue_depth != nullptr) {
+        metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
+      }
+      admitted = true;
+    }
+  }
+  if (admitted) {
+    work_cv_.notify_one();
+    return;
+  }
+  // Queue full: shed this request with the retry hint and drop the
+  // connection, exactly like a shed accept — a pipelining client must
+  // not keep a saturated server buffering its backlog.
+  if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
+  conn->Complete(seq, overloaded_, /*close_after=*/true);
+}
+
+void EventServer::WorkerLoop() {
+  for (;;) {
+    PendingRequest work;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (stopping_) return;  // Stop() drops whatever is still queued
+      work = std::move(queue_.front());
+      queue_.pop_front();
+      if (metrics_.queue_depth != nullptr) {
+        metrics_.queue_depth->Set(static_cast<int64_t>(queue_.size()));
+      }
+    }
+    std::string response = hooks_.handle(work.payload);
+    // Draining: each connection closes right after its next flushed
+    // response; idle connections ride out the drain timeout.
+    work.conn->Complete(work.seq, std::move(response), draining_.load());
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -19,44 +21,41 @@
 namespace kb {
 namespace server {
 
-/// The shared event-driven server core (DESIGN.md §5f). A small fixed
-/// set of I/O threads — each one an epoll EventLoop — owns the listen
-/// socket (every loop registers it EPOLLEXCLUSIVE, so the kernel wakes
-/// exactly one loop per connection burst) and all accepted connection
-/// fds. Loops never execute request logic: they parse length-prefixed
-/// frames incrementally out of per-connection read buffers, hand each
-/// complete frame to the owner through `on_frame`, and flush completed
-/// responses from per-connection write queues with batched writev,
-/// falling back to EPOLLOUT when a peer stops draining. Connection
-/// count is therefore decoupled from thread count: ten thousand idle
-/// keep-alive clients cost ten thousand fds and nothing else.
+/// The shared event-driven server core (DESIGN.md §5f): the whole
+/// front door, so an owner (KbServer, the replication Router) supplies
+/// nothing but a request handler.
 ///
-/// The owner (KbServer, the replication Router) supplies the policy:
-/// what to do with a frame (typically: admission-check into a bounded
-/// worker queue), what an unframeable stream is told, and what a shed
-/// connection is told.
-struct EventHooks {
-  /// A complete frame arrived: per-connection sequence `seq`, raw
-  /// payload. Runs on the owning I/O thread and must not block; answer
-  /// by calling conn->Complete(seq, response) exactly once, from any
-  /// thread.
-  std::function<void(const ConnRef& conn, uint64_t seq, std::string payload)>
-      on_frame;
-  /// Response for a stream that cannot be re-framed (length prefix
-  /// over kMaxFrameBytes); flushed in order, then the connection
-  /// closes.
-  std::function<std::string(const std::string& message)> bad_frame_response;
-  /// Envelope written (best-effort, then close) when the connection
-  /// cap or draining sheds a fresh accept. Empty = close silently.
-  std::string shed_response;
-};
+/// A small fixed set of I/O threads — each one an epoll EventLoop —
+/// owns the listen socket (every loop registers it EPOLLEXCLUSIVE, so
+/// the kernel wakes exactly one loop per connection burst) and all
+/// accepted connection fds. Loops never execute request logic: they
+/// parse length-prefixed frames incrementally out of per-connection
+/// read buffers, admission-check each complete frame into one bounded
+/// request queue, and flush completed responses from per-connection
+/// write queues with batched writev, falling back to EPOLLOUT when a
+/// peer stops draining. A fixed worker pool pops the queue, runs the
+/// owner's `handle` and completes the response back onto the owning
+/// loop. Connection count is therefore decoupled from thread count:
+/// ten thousand idle keep-alive clients cost ten thousand fds and
+/// nothing else.
+///
+/// Every bounded resource sheds instead of blocking: a full queue
+/// answers the request `overloaded` + `retry_after_ms` and closes after
+/// the in-order flush; the connection cap (and draining) answers a
+/// fresh accept the same way. An unframeable stream is answered
+/// `bad_frame` and closed.
 
-struct EventServerOptions {
+/// The front-door options, declared once: KbServer::Options and
+/// Router::Options inherit them.
+struct FrontDoorOptions {
   int port = 0;       ///< 0 = ephemeral; see EventServer::port()
-  int io_threads = 2;
-  int backlog = 0;    ///< listen(2) backlog; <= 0 means SOMAXCONN
-  /// Accepts past this many open connections are shed with
-  /// shed_response instead of blocking accept. 0 = unlimited.
+  int io_threads = 2;  ///< epoll I/O threads
+  int backlog = 0;     ///< listen(2) backlog; <= 0 means SOMAXCONN
+  /// Open-connection cap: accepts past it are shed with the overload
+  /// hint instead of blocking accept. 0 derives num_workers +
+  /// queue_depth (every worker busy plus a full queue); raise it
+  /// explicitly (e.g. the concurrency bench) to hold thousands of
+  /// keep-alive connections.
   size_t max_connections = 0;
   /// Connections with no traffic and no request in flight for this
   /// long are closed (idle_closed metric). 0 = never.
@@ -66,19 +65,35 @@ struct EventServerOptions {
   /// responses drain below half — backpressure instead of unbounded
   /// buffering for a client that pipelines faster than workers drain.
   size_t max_pipeline = 128;
+  int num_workers = 4;      ///< request-handling threads
+  size_t queue_depth = 16;  ///< admitted requests before shedding
+  int retry_after_ms = 20;  ///< hint returned with every overload shed
+};
 
-  /// Optional instruments (registry-owned; may be null).
+/// Registry-owned instruments the core updates. The owner names them
+/// (server.* or router.*); any may be null.
+struct EventMetrics {
   Gauge* open_connections = nullptr;
+  Gauge* queue_depth = nullptr;
   Counter* epoll_wakeups = nullptr;
   Counter* pipelined_frames = nullptr;
   Counter* idle_closed = nullptr;
-  Counter* sheds = nullptr;
+  Counter* rejected = nullptr;  ///< shed accepts and shed requests
+  Counter* errors = nullptr;    ///< unframeable streams
 };
+
+/// What the owner supplies.
+struct EventHooks {
+  /// One request payload -> its response. Runs on a worker thread and
+  /// may block (a KB read, a backend round trip).
+  std::function<std::string(const std::string& payload)> handle;
+};
+
+class EventServer;
 
 class EventLoop {
  public:
-  EventLoop(const EventServerOptions* options, const EventHooks* hooks,
-            std::atomic<size_t>* open_conns, std::atomic<bool>* draining);
+  explicit EventLoop(EventServer* server);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -117,10 +132,9 @@ class EventLoop {
   void CloseConn(Conn* conn);
   void CloseAll();
 
-  const EventServerOptions* options_;
-  const EventHooks* hooks_;
-  std::atomic<size_t>* open_conns_;
-  std::atomic<bool>* draining_;
+  EventServer* server_;
+  const FrontDoorOptions& options_;
+  const EventMetrics& metrics_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd; Post() and Stop() write it
@@ -142,40 +156,65 @@ class EventLoop {
   std::thread thread_;
 };
 
-/// N EventLoops + one listen socket. See file comment.
+/// N EventLoops + one listen socket + the worker pool. See the file
+/// comment.
 class EventServer {
  public:
-  EventServer(const EventServerOptions& options, EventHooks hooks);
+  EventServer(const FrontDoorOptions& options, const EventMetrics& metrics,
+              EventHooks hooks);
   ~EventServer();
 
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  /// Binds 127.0.0.1:port, listens, spawns the I/O threads.
+  /// Binds 127.0.0.1:port, listens, spawns the workers and the I/O
+  /// threads.
   Status Start();
   /// Closes the listen socket and every connection, joins the I/O
-  /// threads. Idempotent.
+  /// threads, then the workers; requests still queued are dropped.
+  /// Idempotent.
   void Stop();
 
-  /// While draining, fresh accepts are shed with shed_response. The
-  /// owner decides when established connections close (typically by
-  /// completing their next response with close_after).
-  void SetDraining(bool draining) { draining_.store(draining); }
+  /// Graceful shutdown: fresh accepts are shed with the retry hint (so
+  /// a router fails over), each established connection closes right
+  /// after its next response, and once every connection is gone — or
+  /// `timeout_ms` has passed — Stop().
+  void Drain(double timeout_ms);
 
   int port() const { return port_; }
-  size_t open_connections() const { return open_conns_.load(); }
 
  private:
-  EventServerOptions options_;
-  EventHooks hooks_;
+  friend class EventLoop;
+
+  /// One parsed frame waiting for (or held by) a worker.
+  struct PendingRequest {
+    ConnRef conn;
+    uint64_t seq = 0;
+    std::string payload;
+  };
+
+  /// I/O-thread side of the handoff: admission-check into the bounded
+  /// queue, shedding with the retry hint when it is full.
+  void Admit(const ConnRef& conn, uint64_t seq, std::string payload);
+  void WorkerLoop();
+
+  FrontDoorOptions options_;
+  const EventMetrics metrics_;
+  const EventHooks hooks_;
+  const std::string overloaded_;  ///< OverloadedJson(retry_after_ms)
   std::atomic<size_t> open_conns_{0};
   std::atomic<bool> draining_{false};
 
   int listen_fd_ = -1;
   int port_ = 0;
-  bool started_ = false;
-  bool stopped_ = false;
   std::vector<std::unique_ptr<EventLoop>> loops_;
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::deque<PendingRequest> queue_;  ///< admitted, not yet picked up
+  bool started_ = false;
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace server

@@ -1,5 +1,6 @@
 #include "server/kb_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -8,6 +9,7 @@
 #include "core/entity_card.h"
 #include "query/plan.h"
 #include "rdf/namespaces.h"
+#include "server/protocol.h"
 #include "util/logging.h"
 
 namespace kb {
@@ -15,25 +17,9 @@ namespace server {
 
 namespace {
 
-std::string ErrorJson(const std::string& error, const std::string& message) {
-  Json response = Json::Object();
-  response.Set("status", Json::Str("error"));
-  response.Set("error", Json::Str(error));
-  response.Set("message", Json::Str(message));
-  return response.Dump();
-}
-
 /// The bad_request response for a numeric field GetInt refused.
 std::string BadField(const std::string& field) {
   return ErrorJson("bad_request", field + " must be an integer in range");
-}
-
-std::string OverloadedJson(int retry_after_ms) {
-  Json response = Json::Object();
-  response.Set("status", Json::Str("overloaded"));
-  response.Set("error", Json::Str("overloaded"));
-  response.Set("retry_after_ms", Json::Number(retry_after_ms));
-  return response.Dump();
 }
 
 /// Splices a serialized result body ("{...}") into an ok envelope with
@@ -55,18 +41,12 @@ std::string OkWithBody(const std::string& body, bool cached) {
 
 struct KbServer::Metrics {
   Counter& requests;
-  Counter& rejected;
   Counter& errors;
   Counter& queries;
   Counter& entity_cards;
   Counter& inserted_facts;
   Counter& analytics;
   Counter& deadline_exceeded;
-  Counter& epoll_wakeups;
-  Counter& pipelined_frames;
-  Counter& idle_closed;
-  Gauge& queue_depth;
-  Gauge& open_connections;
   Histogram& request_ms;
   Histogram& query_ms;
   Histogram& analytics_ms;
@@ -76,18 +56,12 @@ struct KbServer::Metrics {
       MetricsRegistry& r = MetricsRegistry::Default();
       return new Metrics{
           r.counter("server.requests"),
-          r.counter("server.rejected"),
           r.counter("server.errors"),
           r.counter("server.queries"),
           r.counter("server.entity_cards"),
           r.counter("server.inserted_facts"),
           r.counter("server.analytics"),
           r.counter("server.deadline_exceeded"),
-          r.counter("server.epoll_wakeups"),
-          r.counter("server.pipelined_frames"),
-          r.counter("server.idle_closed"),
-          r.gauge("server.queue_depth"),
-          r.gauge("server.open_connections"),
           r.histogram("server.request_ms"),
           r.histogram("server.query_ms"),
           r.histogram("server.analytics_ms"),
@@ -106,148 +80,32 @@ KbServer::KbServer(core::KnowledgeBase* kb, const Options& options)
 KbServer::~KbServer() { Stop(); }
 
 Status KbServer::Start() {
-  EventServerOptions ev;
-  ev.port = options_.port;
-  ev.io_threads = options_.io_threads;
-  ev.backlog = options_.backlog;
-  // Default cap: every worker busy plus a full queue, so the N+Q+1'th
-  // concurrent connection is refused with the retry hint.
-  size_t workers =
-      static_cast<size_t>(options_.num_workers > 0 ? options_.num_workers : 1);
-  ev.max_connections = options_.max_connections > 0
-                           ? options_.max_connections
-                           : workers + options_.queue_depth;
-  ev.idle_timeout_ms = options_.idle_timeout_ms;
-  ev.max_pipeline = options_.max_pipeline;
-  ev.open_connections = &metrics_->open_connections;
-  ev.epoll_wakeups = &metrics_->epoll_wakeups;
-  ev.pipelined_frames = &metrics_->pipelined_frames;
-  ev.idle_closed = &metrics_->idle_closed;
-  ev.sheds = &metrics_->rejected;
-
-  EventHooks hooks;
-  hooks.on_frame = [this](const ConnRef& conn, uint64_t seq,
-                          std::string payload) {
-    OnFrame(conn, seq, std::move(payload));
-  };
-  hooks.bad_frame_response = [this](const std::string& message) {
-    metrics_->errors.Increment();
-    return ErrorJson("bad_frame", message);
-  };
-  hooks.shed_response = OverloadedJson(options_.retry_after_ms);
-
-  event_server_ = std::make_unique<EventServer>(ev, std::move(hooks));
-  Status s = event_server_->Start();
-  if (!s.ok()) {
-    event_server_.reset();
-    return s;
-  }
-  port_ = event_server_->port();
+  MetricsRegistry& r = MetricsRegistry::Default();
+  EventMetrics metrics;
+  metrics.open_connections = &r.gauge("server.open_connections");
+  metrics.queue_depth = &r.gauge("server.queue_depth");
+  metrics.epoll_wakeups = &r.counter("server.epoll_wakeups");
+  metrics.pipelined_frames = &r.counter("server.pipelined_frames");
+  metrics.idle_closed = &r.counter("server.idle_closed");
+  metrics.rejected = &r.counter("server.rejected");
+  metrics.errors = &metrics_->errors;
+  event_server_ = std::make_unique<EventServer>(
+      options_, metrics,
+      EventHooks{[this](const std::string& payload) {
+        return HandleFrame(payload);
+      }});
   started_at_ = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    started_ = true;
-    stopping_ = false;
-    draining_ = false;
-  }
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { EventWorkerLoop(); });
-  }
-  return Status::OK();
-}
-
-void KbServer::OnFrame(const ConnRef& conn, uint64_t seq,
-                       std::string payload) {
-  // I/O-thread side of the handoff: admission-check into the bounded
-  // request queue and return — never run request logic here.
-  bool admitted = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!stopping_ && reqs_.size() < options_.queue_depth) {
-      reqs_.push_back(PendingRequest{conn, seq, std::move(payload)});
-      metrics_->queue_depth.Set(static_cast<int64_t>(reqs_.size()));
-      admitted = true;
-    }
-  }
-  if (admitted) {
-    work_cv_.notify_one();
-    return;
-  }
-  // Queue full: shed this request with the retry hint and drop the
-  // connection, exactly like a shed accept — a pipelining client must
-  // not keep a saturated server buffering its backlog.
-  metrics_->rejected.Increment();
-  conn->Complete(seq, OverloadedJson(options_.retry_after_ms),
-                 /*close_after=*/true);
-}
-
-void KbServer::EventWorkerLoop() {
-  for (;;) {
-    PendingRequest work;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !reqs_.empty(); });
-      if (stopping_) return;  // Stop() drops whatever is still queued
-      work = std::move(reqs_.front());
-      reqs_.pop_front();
-      metrics_->queue_depth.Set(static_cast<int64_t>(reqs_.size()));
-    }
-    std::string response = HandleFrame(work.payload);
-    bool close_after;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Draining: each connection closes right after its next flushed
-      // response; idle connections ride out the drain timeout.
-      close_after = draining_;
-    }
-    work.conn->Complete(work.seq, std::move(response), close_after);
-  }
+  Status s = event_server_->Start();
+  if (!s.ok()) event_server_.reset();
+  return s;
 }
 
 void KbServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) {
-      stopping_ = true;
-      return;
-    }
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  // Order matters: joining the I/O threads first means any late worker
-  // Complete() is dropped at the loop's post gate instead of racing a
-  // dying epoll set.
   if (event_server_) event_server_->Stop();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  reqs_.clear();
-  metrics_->queue_depth.Set(0);
 }
 
 void KbServer::Drain(double timeout_ms) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!started_ || stopping_) return;
-    draining_ = true;
-  }
-  // From here new connections are shed with the retry hint (a router
-  // treats that as unhealthy and fails over), and each established
-  // connection closes right after its next flushed response. Idle
-  // connections are left alone until the timeout: they hold no worker
-  // and owe nobody a response.
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration<double, std::milli>(
-                      timeout_ms > 0 ? timeout_ms : 0);
-  event_server_->SetDraining(true);
-  while (event_server_->open_connections() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  Stop();
+  if (event_server_) event_server_->Drain(timeout_ms);
 }
 
 void KbServer::WithWriteLock(const std::function<void()>& fn) {
@@ -550,10 +408,8 @@ std::string KbServer::HandleInsertFacts(const Json& request) {
 ThreadPool* KbServer::AnalyticsPool() {
   std::lock_guard<std::mutex> lock(analytics_pool_mu_);
   if (analytics_pool_ == nullptr) {
-    int n = options_.analytics_threads > 0
-                ? options_.analytics_threads
-                : (options_.num_workers > 0 ? options_.num_workers : 1);
-    analytics_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(n));
+    analytics_pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(std::max(1, options_.num_workers)));
   }
   return analytics_pool_.get();
 }

@@ -1,15 +1,13 @@
 #ifndef KBFORGE_SERVER_KB_SERVER_H_
 #define KBFORGE_SERVER_KB_SERVER_H_
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/knowledge_base.h"
@@ -48,18 +46,16 @@ namespace server {
 /// else is a bad_request naming the field (a bad fact is skipped).
 ///
 /// Production concerns the in-process library lacks:
-///   - An event-driven I/O core (server/event_loop.h): a few epoll
-///     threads own every connection fd, so connection count is
-///     decoupled from thread count — 10k keep-alive clients cost 10k
-///     fds, not 10k stacks. Clients may pipeline: frames on one
-///     connection are answered strictly in order however the workers
-///     race.
-///   - A fixed worker pool pulls parsed requests from a bounded queue.
-///     When the queue is full, requests are *rejected* immediately
-///     with {"status":"overloaded","retry_after_ms":R} instead of
-///     queueing unboundedly (admission control: shed load, keep tail
-///     latency of admitted work flat); the connection cap sheds
-///     excess accepts the same way. `server.rejected` counts both.
+///   - The shared front door (server/event_loop.h) owns every
+///     connection, the bounded request queue, the worker pool and
+///     drain; KbServer is only its request handler (HandleFrame). A
+///     few epoll threads own every connection fd, so 10k keep-alive
+///     clients cost 10k fds, not 10k stacks, and clients may pipeline
+///     (answers come back strictly in order). A full queue or the
+///     connection cap is answered {"status":"overloaded",
+///     "retry_after_ms":R} instead of queueing unboundedly (shed load,
+///     keep tail latency of admitted work flat); `server.rejected`
+///     counts both.
 ///   - Per-request deadlines, threaded into the query executor as
 ///     query::ExecOptions and enforced cooperatively inside the scan
 ///     loops. An expired query returns a partial-free
@@ -75,32 +71,14 @@ namespace server {
 /// directly while the server runs must take no such license.
 class KbServer {
  public:
-  struct Options {
-    int port = 0;               ///< 0 = ephemeral, see port()
-    int num_workers = 4;        ///< request-serving threads
-    size_t queue_depth = 16;    ///< pending requests before shedding
-    int io_threads = 2;         ///< epoll I/O threads
-    /// listen(2) backlog; <= 0 means SOMAXCONN.
-    int backlog = 0;
-    /// Open-connection cap: accepts past it are shed with the overload
-    /// hint instead of blocking accept. 0 derives num_workers +
-    /// queue_depth (every worker busy plus a full queue); raise it
-    /// explicitly (e.g. the concurrency bench) to hold thousands of
-    /// keep-alive connections.
-    size_t max_connections = 0;
-    /// Connections idle (no traffic, nothing in flight) this long are
-    /// closed. 0 = never.
-    double idle_timeout_ms = 0;
-    /// Parsed-but-unanswered frames allowed per connection before the
-    /// loop stops reading it (pipelining backpressure).
-    size_t max_pipeline = 128;
+  /// The front-door options (port, threads, queue, caps, retry hint)
+  /// are FrontDoorOptions'; these are the KB-serving ones.
+  struct Options : FrontDoorOptions {
     size_t cache_bytes = 8u << 20;  ///< result cache; 0 disables
     /// Deadline applied when a query request carries none; 0 = none.
     double default_deadline_ms = 0;
     /// Row cap applied when a request carries none; 0 = unlimited.
     size_t default_max_rows = 0;
-    /// Hint returned with overload rejections.
-    int retry_after_ms = 20;
     /// Follower mode: insert_facts is rejected with "not_leader" (the
     /// router retries against the leader); health reports
     /// role=follower. Replicated writes bypass the endpoint via
@@ -118,9 +96,6 @@ class KbServer {
     /// first, KB second, so a published epoch E always means "every
     /// write <= E is in the replication log".
     std::function<Status(const std::vector<WireFact>&)> pre_insert_hook;
-    /// Threads in the lazily created analytics pool (PageRank shards,
-    /// class-stats shards). 0 derives num_workers.
-    int analytics_threads = 0;
   };
 
   /// The server serves `kb` (borrowed; must outlive the server).
@@ -133,17 +108,16 @@ class KbServer {
   /// Binds, listens and spawns the I/O and worker threads.
   Status Start();
 
-  /// Drains and joins everything. Idempotent.
+  /// Stops and joins everything. Idempotent.
   void Stop();
 
-  /// Graceful shutdown: immediately stops admitting new connections
-  /// (they are shed with the retry hint, so a router fails over), lets
-  /// in-flight requests finish for up to `timeout_ms`, then Stop()s.
+  /// EventServer::Drain: shed new connections, close each established
+  /// one after its next response, Stop() after `timeout_ms` at most.
   /// What kbforge_serve runs on SIGTERM.
   void Drain(double timeout_ms);
 
   /// The bound port (valid after Start; resolves port 0).
-  int port() const { return port_; }
+  int port() const { return event_server_ ? event_server_->port() : 0; }
 
   const core::KnowledgeBase* kb() const { return kb_; }
 
@@ -158,16 +132,7 @@ class KbServer {
  private:
   struct Metrics;
 
-  /// One parsed frame waiting for (or held by) a worker.
-  struct PendingRequest {
-    ConnRef conn;
-    uint64_t seq = 0;
-    std::string payload;
-  };
-
-  void OnFrame(const ConnRef& conn, uint64_t seq, std::string payload);
-  void EventWorkerLoop();
-  /// One request payload -> its response.
+  /// One request payload -> its response: the front door's handler.
   std::string HandleFrame(const std::string& payload);
 
   std::string HandleRequest(const Json& request);
@@ -189,16 +154,7 @@ class KbServer {
   Metrics* metrics_;  ///< registry-owned instruments, never freed
 
   std::unique_ptr<EventServer> event_server_;
-
-  int port_ = 0;
   std::chrono::steady_clock::time_point started_at_{};
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<PendingRequest> reqs_;  ///< admitted, not yet picked up
-  bool stopping_ = false;
-  bool draining_ = false;  ///< shed new work, finish in-flight
-  bool started_ = false;
 
   /// Reads (query parse/execute/render, entity cards, analytics
   /// scans) hold this shared for their full KB access; the insert
@@ -211,8 +167,6 @@ class KbServer {
 
   std::mutex analytics_pool_mu_;
   std::unique_ptr<ThreadPool> analytics_pool_;
-
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace server

@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <string.h>
 
+#include "server/json.h"
 #include "util/io_util.h"
 
 namespace kb {
@@ -65,6 +66,22 @@ Status WriteFrame(int fd, const std::string& payload) {
     return Status::IOError("write payload: " + Errno());
   }
   return Status::OK();
+}
+
+std::string ErrorJson(const std::string& error, const std::string& message) {
+  Json response = Json::Object();
+  response.Set("status", Json::Str("error"));
+  response.Set("error", Json::Str(error));
+  response.Set("message", Json::Str(message));
+  return response.Dump();
+}
+
+std::string OverloadedJson(int retry_after_ms) {
+  Json response = Json::Object();
+  response.Set("status", Json::Str("overloaded"));
+  response.Set("error", Json::Str("overloaded"));
+  response.Set("retry_after_ms", Json::Number(retry_after_ms));
+  return response.Dump();
 }
 
 }  // namespace server

@@ -28,6 +28,14 @@ Status ReadFrame(int fd, std::string* payload);
 /// over kMaxFrameBytes, which the peer would refuse anyway).
 Status WriteFrame(int fd, const std::string& payload);
 
+/// The error envelope every front door answers with:
+/// {"status":"error","error":<error>,"message":<message>}.
+std::string ErrorJson(const std::string& error, const std::string& message);
+
+/// The shed envelope: {"status":"overloaded","error":"overloaded",
+/// "retry_after_ms":R}. KbClient maps it to Unavailable + the hint.
+std::string OverloadedJson(int retry_after_ms);
+
 }  // namespace server
 }  // namespace kb
 

@@ -100,9 +100,10 @@ bool FlagString(const char* arg, const char* name, std::string* out) {
 int main(int argc, char** argv) {
   using namespace kb;
 
-  // Workers must exceed a fronting router's workers + 1: the router
-  // parks one cached data connection per worker plus one persistent
-  // health connection on every backend (DESIGN.md §5d).
+  // The connection cap (workers + queue unless --max-connections) must
+  // exceed a fronting router's workers + 1: the router keeps one cached
+  // data connection per worker plus one persistent health connection
+  // on every backend (DESIGN.md §5d).
   long port = 7471, workers = 8, queue = 16;
   long io_threads = 2, backlog = 0, max_connections = 0;
   long idle_timeout_ms = 0, max_pipeline = 128;

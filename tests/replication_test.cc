@@ -36,8 +36,10 @@
 #include "replication/wal_shipper.h"
 #include "server/kb_client.h"
 #include "server/kb_server.h"
+#include "server/protocol.h"
 #include "storage/fault_injection_env.h"
 #include "storage/wal.h"
+#include "util/metrics_registry.h"
 
 namespace kb {
 namespace replication {
@@ -775,6 +777,107 @@ TEST(ReplicationChaosTest, ReadYourWritesHoldsUnderReplicaLag) {
   EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
   EXPECT_NE(refused.status().message().find("min_epoch"), std::string::npos);
   router.Stop();
+}
+
+// ------------------------------------------------- router front door
+
+/// Raw loopback socket for speaking protocol byte by byte.
+int RawConnect(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+/// Wire framing for raw-socket tests: 4-byte big-endian length prefix.
+std::string Framed(const std::string& payload) {
+  uint32_t len = static_cast<uint32_t>(payload.size());
+  std::string out;
+  out.push_back(static_cast<char>((len >> 24) & 0xff));
+  out.push_back(static_cast<char>((len >> 16) & 0xff));
+  out.push_back(static_cast<char>((len >> 8) & 0xff));
+  out.push_back(static_cast<char>(len & 0xff));
+  out += payload;
+  return out;
+}
+
+/// A router in front of a plain leader, for front-door behavior that
+/// never reaches a backend.
+struct RouterOverLeader {
+  explicit RouterOverLeader(Router::Options options) : kb(MakeBaseKb()) {
+    leader = std::make_unique<KbServer>(&kb, KbServer::Options{});
+    EXPECT_TRUE(leader->Start().ok());
+    options.leader_port = leader->port();
+    router = std::make_unique<Router>(options);
+    Status status = router->Start();
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  ~RouterOverLeader() {
+    router->Stop();
+    leader->Stop();
+  }
+
+  core::KnowledgeBase kb;
+  std::unique_ptr<KbServer> leader;
+  std::unique_ptr<Router> router;
+};
+
+TEST(RouterFrontDoorTest, FullQueueShedsWithRetryHintThenCloses) {
+  Router::Options options;
+  options.queue_depth = 0;  // every request sheds at admission
+  options.retry_after_ms = 13;
+  RouterOverLeader tier(options);
+  const uint64_t rejected_before =
+      MetricsRegistry::Default().Snapshot().counter("router.rejected");
+
+  int fd = RawConnect(tier.router->port());
+  // Three pipelined requests: the first one's shed answer carries the
+  // router's hint and closes the connection, dropping the two behind.
+  std::string stream;
+  for (int i = 0; i < 3; ++i) {
+    stream += Framed("{\"op\":\"health\"}");
+  }
+  ASSERT_EQ(::send(fd, stream.data(), stream.size(), 0),
+            static_cast<ssize_t>(stream.size()));
+  std::string response;
+  ASSERT_TRUE(server::ReadFrame(fd, &response).ok());
+  EXPECT_NE(response.find("\"status\":\"overloaded\""), std::string::npos);
+  EXPECT_NE(response.find("\"retry_after_ms\":13"), std::string::npos);
+  Status eof = server::ReadFrame(fd, &response);
+  EXPECT_TRUE(eof.IsAborted()) << eof;  // clean close, no more frames
+  ::close(fd);
+  EXPECT_GT(MetricsRegistry::Default().Snapshot().counter("router.rejected"),
+            rejected_before);
+}
+
+TEST(RouterFrontDoorTest, OversizedLengthPrefixIsABadFrame) {
+  RouterOverLeader tier(Router::Options{});
+  const uint64_t errors_before =
+      MetricsRegistry::Default().Snapshot().counter("router.errors");
+
+  int fd = RawConnect(tier.router->port());
+  // Claim a 4 GiB frame: refused, answered, and the stream closed.
+  unsigned char header[4] = {0xff, 0xff, 0xff, 0xff};
+  ASSERT_EQ(::send(fd, header, 4, 0), 4);
+  std::string response;
+  Status status = server::ReadFrame(fd, &response);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(response.find("bad_frame"), std::string::npos);
+  Status eof = server::ReadFrame(fd, &response);
+  EXPECT_TRUE(eof.IsAborted()) << eof;
+  ::close(fd);
+  EXPECT_GT(MetricsRegistry::Default().Snapshot().counter("router.errors"),
+            errors_before);
+
+  // The router survives.
+  KbClient client;
+  ASSERT_TRUE(client.Connect(tier.router->port()).ok());
+  EXPECT_TRUE(client.Health().ok());
 }
 
 // --------------------------------------------- property: prefix closure
