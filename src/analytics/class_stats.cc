@@ -1,9 +1,8 @@
 #include "analytics/class_stats.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "analytics/chunks.h"
 #include "rdf/term.h"
 #include "util/metrics_registry.h"
 
@@ -25,37 +24,20 @@ struct ClassStatsMetrics {
   }
 };
 
-/// Reflexive-transitive ancestor closures over the subclass edges,
-/// memoized per class. Cycle-safe: a class on the current DFS path
-/// contributes itself only.
-class AncestorClosure {
- public:
-  explicit AncestorClosure(
-      std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> parents)
-      : parents_(std::move(parents)) {}
+constexpr uint32_t kNoClass = 0xffffffffu;
 
-  const std::vector<rdf::TermId>& Of(rdf::TermId cls) {
-    auto it = closure_.find(cls);
-    if (it != closure_.end()) return it->second;
-    // Mark in-progress with an empty entry so cycles terminate.
-    closure_.emplace(cls, std::vector<rdf::TermId>{});
-    std::vector<rdf::TermId> out{cls};
-    auto pit = parents_.find(cls);
-    if (pit != parents_.end()) {
-      for (rdf::TermId parent : pit->second) {
-        const std::vector<rdf::TermId>& up = Of(parent);
-        out.insert(out.end(), up.begin(), up.end());
-      }
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return closure_[cls] = std::move(out);
+/// Every (s, o) of the triples matching (*, predicate, *), in scan
+/// order.
+std::vector<std::pair<rdf::TermId, rdf::TermId>> SubjectObjectPairs(
+    const rdf::TripleSource& source, rdf::TermId predicate) {
+  std::vector<std::pair<rdf::TermId, rdf::TermId>> out;
+  rdf::TriplePattern pattern;
+  pattern.p = predicate;
+  for (auto it = source.NewScan(pattern); it->Valid(); it->Next()) {
+    out.emplace_back(it->Value().s, it->Value().o);
   }
-
- private:
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> parents_;
-  std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> closure_;
-};
+  return out;
+}
 
 }  // namespace
 
@@ -68,102 +50,112 @@ ClassStatsResult ComputeClassStats(const rdf::TripleSource& source,
       options.type_predicate == rdf::kAnyTerm) {
     return result;
   }
+  const bool rollup = options.rollup && options.subclass_predicate != 0 &&
+                      options.subclass_predicate != rdf::kAnyTerm;
+  // (child, parent) subclass edges and (entity, class) type pairs.
+  std::vector<std::pair<rdf::TermId, rdf::TermId>> parents;
+  if (rollup) parents = SubjectObjectPairs(source, options.subclass_predicate);
+  const std::vector<std::pair<rdf::TermId, rdf::TermId>> typed =
+      SubjectObjectPairs(source, options.type_predicate);
 
-  // Pass 1: subclass edges -> memoized ancestor closures (sequential;
-  // taxonomies are tiny next to the entity population).
-  AncestorClosure closure = [&] {
-    std::unordered_map<rdf::TermId, std::vector<rdf::TermId>> parents;
-    if (options.rollup && options.subclass_predicate != 0 &&
-        options.subclass_predicate != rdf::kAnyTerm) {
-      rdf::TriplePattern sub;
-      sub.p = options.subclass_predicate;
-      source.Scan(sub, [&](const rdf::Triple& t) {
-        parents[t.s].push_back(t.o);
-        return true;
-      });
-    }
-    return AncestorClosure(std::move(parents));
-  }();
-
-  // Pass 2: type triples grouped by entity. The POS scan delivers
-  // (type, class, entity) sorted by class then entity, so re-sort by
-  // entity to recover per-entity runs.
-  std::vector<std::pair<rdf::TermId, rdf::TermId>> typed;  // (entity, class)
-  {
-    rdf::TriplePattern type;
-    type.p = options.type_predicate;
-    source.Scan(type, [&](const rdf::Triple& t) {
-      typed.emplace_back(t.s, t.o);
-      return true;
-    });
-  }
-  std::sort(typed.begin(), typed.end());
-  typed.erase(std::unique(typed.begin(), typed.end()), typed.end());
-  std::vector<size_t> entity_begin;  // run starts in `typed`
-  for (size_t i = 0; i < typed.size(); ++i) {
-    if (i == 0 || typed[i].first != typed[i - 1].first) {
-      entity_begin.push_back(i);
-    }
-  }
-  result.num_entities = entity_begin.size();
-  ClassStatsMetrics::Get().entities.Increment(entity_begin.size());
-
-  // Precompute every closure once (the closure cache is not
-  // thread-safe; after this, shards only read it).
+  // Dense class numbers in ascending id order, through a flat
+  // id-indexed vector: every direct type and every class on either end
+  // of a subclass edge.
+  rdf::TermId max_class = 0, max_entity = 0;
   for (const auto& [entity, cls] : typed) {
-    (void)entity;
-    (void)closure.Of(cls);
+    max_entity = std::max(max_entity, entity);
+    max_class = std::max(max_class, cls);
+  }
+  for (const auto& [child, parent] : parents) {
+    max_class = std::max({max_class, child, parent});
+  }
+  std::vector<uint32_t> class_index(max_class + size_t{1}, kNoClass);
+  for (const auto& [entity, cls] : typed) class_index[cls] = 0;
+  for (const auto& [child, parent] : parents) {
+    class_index[child] = class_index[parent] = 0;
+  }
+  std::vector<rdf::TermId> classes;  // dense -> TermId
+  for (size_t id = 0; id < class_index.size(); ++id) {
+    if (class_index[id] == kNoClass) continue;
+    class_index[id] = static_cast<uint32_t>(classes.size());
+    classes.push_back(static_cast<rdf::TermId>(id));
+  }
+  const size_t num_classes = classes.size();
+
+  // Reflexive-transitive ancestor closure of every dense class: a
+  // breadth-first walk up the parent lists that marks each class once
+  // per walk, so cycles terminate and every ancestor appears once.
+  // Without rollup there are no parent edges and each closure is the
+  // class alone. Taxonomies are tiny next to the entity population, so
+  // this runs sequentially.
+  std::vector<std::vector<uint32_t>> parents_of(num_classes);
+  for (const auto& [child, parent] : parents) {
+    parents_of[class_index[child]].push_back(class_index[parent]);
+  }
+  std::vector<std::vector<uint32_t>> closure(num_classes);
+  std::vector<uint32_t> walked_from(num_classes, kNoClass);
+  for (uint32_t c = 0; c < num_classes; ++c) {
+    closure[c].push_back(c);
+    walked_from[c] = c;
+    for (size_t next = 0; next < closure[c].size(); ++next) {
+      for (uint32_t parent : parents_of[closure[c][next]]) {
+        if (walked_from[parent] == c) continue;
+        walked_from[parent] = c;
+        closure[c].push_back(parent);
+      }
+    }
   }
 
-  // Pass 3: per-shard distinct counting, merged at the end. Each
-  // entity's direct classes expand to their ancestor union exactly
-  // once, so an entity typed under two siblings counts once for the
-  // shared superclass.
-  size_t num_shards = pool != nullptr ? pool->num_threads() * 4 : 1;
-  if (num_shards == 0 || num_shards > entity_begin.size()) {
-    num_shards = std::max<size_t>(entity_begin.size(), 1);
+  // Type pairs grouped by entity with a counting sort over a flat
+  // id-indexed vector: entity e's dense classes end up in
+  // entity_classes[entity_start[e], entity_start[e + 1]).
+  std::vector<uint32_t> entity_start(max_entity + size_t{2}, 0);
+  for (const auto& [entity, cls] : typed) ++entity_start[entity];
+  for (size_t e = 1; e < entity_start.size(); ++e) {
+    entity_start[e] += entity_start[e - 1];
   }
-  if (pool == nullptr) num_shards = 1;
-  std::vector<std::unordered_map<rdf::TermId, uint64_t>> shard_counts(
-      num_shards);
-  size_t per = (entity_begin.size() + num_shards - 1) / num_shards;
-  auto count_range = [&](size_t begin_run, size_t end_run, size_t shard) {
-    std::unordered_map<rdf::TermId, uint64_t>& counts = shard_counts[shard];
-    std::vector<rdf::TermId> classes;
-    for (size_t r = begin_run; r < end_run; ++r) {
-      size_t lo = entity_begin[r];
-      size_t hi =
-          r + 1 < entity_begin.size() ? entity_begin[r + 1] : typed.size();
-      classes.clear();
-      for (size_t i = lo; i < hi; ++i) {
-        if (options.rollup) {
-          const std::vector<rdf::TermId>& up = closure.Of(typed[i].second);
-          classes.insert(classes.end(), up.begin(), up.end());
-        } else {
-          classes.push_back(typed[i].second);
+  // Filling back to front moves each entity's end down to its start.
+  std::vector<uint32_t> entity_classes(typed.size());
+  for (auto it = typed.rbegin(); it != typed.rend(); ++it) {
+    entity_classes[--entity_start[it->first]] = class_index[it->second];
+  }
+
+  // Per-shard flat counts over entity id ranges, summed at the end.
+  // Each entity's classes expand to the union of their closures exactly
+  // once — a per-class stamp of the last entity counted dedupes it —
+  // so an entity typed under two siblings counts once for the shared
+  // superclass.
+  const size_t num_ids = max_entity + size_t{1};
+  std::vector<std::vector<uint64_t>> shard_counts(NumChunks(pool, num_ids));
+  std::vector<size_t> shard_entities(shard_counts.size(), 0);
+  ForChunks(pool, num_ids, [&](size_t begin, size_t end, size_t shard) {
+    std::vector<uint64_t>& counts = shard_counts[shard];
+    counts.assign(num_classes, 0);
+    std::vector<uint32_t> counted_for(num_classes, 0);  // entity stamp
+    size_t entities = 0;
+    for (size_t e = std::max<size_t>(begin, 1); e < end; ++e) {
+      if (entity_start[e] == entity_start[e + 1]) continue;
+      ++entities;
+      for (uint32_t i = entity_start[e]; i < entity_start[e + 1]; ++i) {
+        for (uint32_t ancestor : closure[entity_classes[i]]) {
+          if (counted_for[ancestor] == e) continue;
+          counted_for[ancestor] = static_cast<uint32_t>(e);
+          ++counts[ancestor];
         }
       }
-      std::sort(classes.begin(), classes.end());
-      classes.erase(std::unique(classes.begin(), classes.end()),
-                    classes.end());
-      for (rdf::TermId cls : classes) ++counts[cls];
     }
-  };
-  if (pool != nullptr && num_shards > 1) {
-    pool->ParallelFor(num_shards, [&](size_t shard) {
-      size_t begin_run = shard * per;
-      size_t end_run = std::min(entity_begin.size(), begin_run + per);
-      if (begin_run < end_run) count_range(begin_run, end_run, shard);
-    });
-  } else {
-    count_range(0, entity_begin.size(), 0);
-  }
+    shard_entities[shard] = entities;
+  });
 
-  std::unordered_map<rdf::TermId, uint64_t> merged;
-  for (const auto& shard : shard_counts) {
-    for (const auto& [cls, count] : shard) merged[cls] += count;
+  std::vector<uint64_t> counts(num_classes, 0);
+  for (const std::vector<uint64_t>& shard : shard_counts) {
+    for (size_t c = 0; c < shard.size(); ++c) counts[c] += shard[c];
   }
-  result.counts.assign(merged.begin(), merged.end());
+  for (size_t entities : shard_entities) result.num_entities += entities;
+  ClassStatsMetrics::Get().entities.Increment(result.num_entities);
+  for (size_t c = 0; c < num_classes; ++c) {
+    if (counts[c] > 0) result.counts.emplace_back(classes[c], counts[c]);
+  }
   std::sort(result.counts.begin(), result.counts.end(),
             [](const std::pair<rdf::TermId, uint64_t>& a,
                const std::pair<rdf::TermId, uint64_t>& b) {

@@ -17,7 +17,9 @@ namespace analytics {
 /// OR through any chain of rdfs:subClassOf edges. Computed id-native
 /// from two indexed scans of a TripleSource (type triples and
 /// subclass triples), so it runs against a store snapshot like any
-/// other analytics job.
+/// other analytics job. Classes and entities are renumbered through
+/// flat id-indexed vectors, and ancestor closures and counts are flat
+/// per-class arrays over the dense class numbers.
 struct ClassStatsOptions {
   /// TermId of the rdf:type predicate in the source's dictionary.
   rdf::TermId type_predicate = 0;
@@ -37,9 +39,10 @@ struct ClassStatsResult {
   size_t num_classes = 0;   ///< classes with a nonzero count
 };
 
-/// Runs the rollup over `source`; entity batches are sharded across
-/// `pool` with per-shard partial counts merged at the end (nullptr =
-/// single-threaded).
+/// Runs the rollup over `source`; entity id ranges are sharded across
+/// `pool` with per-shard partial counts summed at the end (nullptr =
+/// single-threaded). A subclass cycle puts every class on it in each
+/// other's closure.
 ClassStatsResult ComputeClassStats(const rdf::TripleSource& source,
                                    const ClassStatsOptions& options,
                                    ThreadPool* pool);

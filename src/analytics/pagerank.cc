@@ -1,10 +1,12 @@
 #include "analytics/pagerank.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
+#include <memory>
 
+#include "analytics/chunks.h"
 #include "rdf/namespaces.h"
 #include "util/metrics_registry.h"
 
@@ -28,26 +30,10 @@ struct PageRankMetrics {
   }
 };
 
-/// Splits [0, n) into roughly even chunks and runs `fn(begin, end,
-/// chunk_index)` for each — on the pool when given, inline otherwise.
-/// The per-chunk index lets callers keep partial reductions without
-/// sharing.
-template <typename Fn>
-size_t ForChunks(ThreadPool* pool, size_t n, const Fn& fn) {
-  size_t num_chunks = pool != nullptr ? pool->num_threads() * 4 : 1;
-  if (num_chunks == 0) num_chunks = 1;
-  if (num_chunks > n) num_chunks = n > 0 ? n : 1;
-  size_t per = (n + num_chunks - 1) / num_chunks;
-  if (pool == nullptr || num_chunks == 1) {
-    fn(0, n, 0);
-    return 1;
-  }
-  pool->ParallelFor(num_chunks, [&](size_t c) {
-    size_t begin = c * per;
-    size_t end = std::min(n, begin + per);
-    if (begin < end) fn(begin, end, c);
-  });
-  return num_chunks;
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 }  // namespace
@@ -74,99 +60,171 @@ std::vector<std::pair<rdf::TermId, double>> PageRankResult::TopK(
   return out;
 }
 
-PageRankResult ComputePageRank(const rdf::TripleSource& source,
+PageRankResult ComputePageRank(const rdf::TripleStore& store,
                                const PageRankOptions& options,
                                ThreadPool* pool) {
   PageRankResult result;
   PageRankMetrics::Get().runs.Increment();
+  const auto build_start = std::chrono::steady_clock::now();
 
-  // --- Graph build: one full scan, dense-renumbered edge list. ---
+  // Positions [0, base_n) of the store's SPO order index the base's
+  // packed run, the rest the delta snapshot (disjoint from the base).
+  // The snapshot is taken before the dictionary is read, so every id
+  // in it is below the dictionary's size.
+  const rdf::FrameStore* base = store.base().get();
+  const std::shared_ptr<const rdf::StoreSnapshot> delta = store.Snapshot();
+  const std::vector<rdf::Triple>& delta_spo = delta->spo();
+  const size_t base_n = base != nullptr ? base->size() : 0;
+  const size_t positions = base_n + delta_spo.size();
+
+  // The IRI test as a flat id-indexed table, filled through the
+  // dictionary's kind-by-id accessor: one pass over the ids instead of
+  // a term-record lookup per triple.
+  const rdf::Dictionary* iri_dict = options.iri_objects_only;
+  std::vector<uint8_t> is_iri(iri_dict != nullptr ? iri_dict->size() + 1 : 0);
+  ForChunks(pool, is_iri.size(), [&](size_t begin, size_t end, size_t) {
+    for (size_t id = std::max<size_t>(begin, 1); id < end; ++id) {
+      is_iri[id] = iri_dict->kind(static_cast<rdf::TermId>(id)) ==
+                   rdf::TermKind::kIri;
+    }
+  });
+  auto iri_object = [&](rdf::TermId o) {
+    return o < is_iri.size() ? is_iri[o] != 0
+                             : iri_dict->kind(o) == rdf::TermKind::kIri;
+  };
+
+  // --- Graph build, pass 1: filter the SPO positions by chunk. ---
+  // Each chunk keeps its edges as raw ids in position order, so the
+  // chunks concatenated in order are one edge order whatever the
+  // thread count.
   std::vector<rdf::TermId> excluded = options.exclude_predicates;
   std::sort(excluded.begin(), excluded.end());
-  std::unordered_map<rdf::TermId, uint32_t> index_of;
-  std::vector<std::pair<uint32_t, uint32_t>> edges;  // (src, dst), dense
-  auto dense = [&](rdf::TermId id) {
-    auto [it, inserted] =
-        index_of.emplace(id, static_cast<uint32_t>(result.nodes.size()));
-    if (inserted) result.nodes.push_back(id);
-    return it->second;
-  };
-  source.Scan({}, [&](const rdf::Triple& t) {
-    if (std::binary_search(excluded.begin(), excluded.end(), t.p)) {
-      return true;
+  using Edge = std::pair<rdf::TermId, rdf::TermId>;  // (src, dst)
+  std::vector<std::vector<Edge>> chunk_edges(NumChunks(pool, positions));
+  std::vector<rdf::TermId> chunk_max_id(chunk_edges.size(), 0);
+  ForChunks(pool, positions, [&](size_t begin, size_t end, size_t c) {
+    std::vector<Edge>& edges = chunk_edges[c];
+    edges.reserve(end - begin);
+    rdf::TermId max_id = 0;
+    auto visit = [&](const rdf::Triple& t) {
+      if (std::binary_search(excluded.begin(), excluded.end(), t.p)) return;
+      if (iri_dict != nullptr && !iri_object(t.o)) return;
+      edges.emplace_back(t.s, t.o);
+      max_id = std::max({max_id, t.s, t.o});
+    };
+    for (size_t i = begin; i < std::min(end, base_n); ++i) {
+      visit(base->TripleAt(rdf::ScanOrder::kSpo, i));
     }
-    if (options.iri_objects_only != nullptr &&
-        !options.iri_objects_only->term(t.o).is_iri()) {
-      return true;
+    for (size_t i = std::max(begin, base_n); i < end; ++i) {
+      visit(delta_spo[i - base_n]);
     }
-    edges.emplace_back(dense(t.s), dense(t.o));
-    return true;
+    chunk_max_id[c] = max_id;
   });
-  const size_t n = result.nodes.size();
-  result.num_edges = edges.size();
-  PageRankMetrics::Get().edges.Increment(edges.size());
-  result.ranks.assign(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
-  if (n == 0 || edges.empty()) return result;
 
-  // Out-degrees, then an incoming-edge CSR (dst-major) so each node's
-  // next rank is an independent pull — the unit the pool shards.
-  std::vector<uint32_t> out_degree(n, 0);
-  std::vector<uint32_t> in_offset(n + 1, 0);
-  for (const auto& [src, dst] : edges) {
-    ++out_degree[src];
-    ++in_offset[dst + 1];
+  // Pass 2: out- and in-degrees per raw id in flat id-indexed vectors;
+  // nodes are the ids with either, numbered in ascending id order.
+  const size_t num_ids =
+      *std::max_element(chunk_max_id.begin(), chunk_max_id.end()) + size_t{1};
+  std::vector<uint32_t> out_by_id(num_ids, 0), in_by_id(num_ids, 0);
+  for (const std::vector<Edge>& edges : chunk_edges) {
+    result.num_edges += edges.size();
+    for (const auto& [src, dst] : edges) {
+      ++out_by_id[src];
+      ++in_by_id[dst];
+    }
   }
-  for (size_t i = 0; i < n; ++i) in_offset[i + 1] += in_offset[i];
-  std::vector<uint32_t> in_src(edges.size());
+  PageRankMetrics::Get().edges.Increment(result.num_edges);
+  std::vector<uint32_t> dense(num_ids, 0);  // TermId -> node
+  std::vector<uint32_t> out_degree;
+  std::vector<uint32_t> in_offset{0};  // in-edge CSR, dst-major
+  for (size_t id = 0; id < num_ids; ++id) {
+    if (out_by_id[id] == 0 && in_by_id[id] == 0) continue;
+    dense[id] = static_cast<uint32_t>(result.nodes.size());
+    result.nodes.push_back(static_cast<rdf::TermId>(id));
+    out_degree.push_back(out_by_id[id]);
+    in_offset.push_back(in_offset.back() + in_by_id[id]);
+  }
+  const size_t n = result.nodes.size();
+  result.ranks.assign(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
+  if (n == 0) {
+    result.build_ms = MsSince(build_start);
+    return result;
+  }
+
+  // Pass 3: each node's in-edge sources, in global edge order, so its
+  // next rank is an independent pull — the unit the pool shards.
+  std::vector<uint32_t> in_src(result.num_edges);
   {
     std::vector<uint32_t> cursor(in_offset.begin(), in_offset.end() - 1);
-    for (const auto& [src, dst] : edges) in_src[cursor[dst]++] = src;
+    for (std::vector<Edge>& edges : chunk_edges) {
+      for (const auto& [src, dst] : edges) {
+        in_src[cursor[dense[dst]]++] = dense[src];
+      }
+      std::vector<Edge>().swap(edges);
+    }
   }
+  result.build_ms = MsSince(build_start);
+  const auto iterate_start = std::chrono::steady_clock::now();
 
   // --- Frontier-synchronized power iteration. ---
+  // contribution[i] is node i's rank share per out-edge, taken once per
+  // node, not once per edge. Dangling nodes (no out-edges) leak rank;
+  // their mass is redistributed uniformly so ranks keep summing to 1.
+  // One pass per iteration pulls the next ranks and already takes the
+  // next iteration's contributions and dangling mass.
   const double d = options.damping;
-  const double base = (1.0 - d) / static_cast<double>(n);
+  const double base_rank = (1.0 - d) / static_cast<double>(n);
+  std::vector<double> contribution(n, 0.0), next_contribution(n, 0.0);
   std::vector<double> next(n, 0.0);
-  size_t num_chunks = pool != nullptr ? pool->num_threads() * 4 : 1;
-  std::vector<double> partial(std::max<size_t>(num_chunks, 1), 0.0);
+  double dangling = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (out_degree[i] == 0) {
+      dangling += result.ranks[i];
+    } else {
+      contribution[i] = result.ranks[i] / out_degree[i];
+    }
+  }
+  struct Partial {
+    double delta = 0.0;     // L1 rank change
+    double dangling = 0.0;  // next ranks of dangling nodes
+  };
+  std::vector<Partial> partial(NumChunks(pool, n));
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Dangling mass: nodes with no out-edges leak rank; redistribute
-    // it uniformly so ranks keep summing to 1.
-    std::fill(partial.begin(), partial.end(), 0.0);
-    ForChunks(pool, n, [&](size_t begin, size_t end, size_t c) {
-      double sum = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        if (out_degree[i] == 0) sum += result.ranks[i];
-      }
-      partial[c] += sum;
-    });
-    double dangling = 0.0;
-    for (double p : partial) dangling += p;
     const double redistribute = d * dangling / static_cast<double>(n);
-
-    std::fill(partial.begin(), partial.end(), 0.0);
+    std::fill(partial.begin(), partial.end(), Partial());
     ForChunks(pool, n, [&](size_t begin, size_t end, size_t c) {
-      double delta = 0.0;
+      Partial sum;
       for (size_t i = begin; i < end; ++i) {
         double in_sum = 0.0;
         for (uint32_t e = in_offset[i]; e < in_offset[i + 1]; ++e) {
-          uint32_t src = in_src[e];
-          in_sum += result.ranks[src] / out_degree[src];
+          in_sum += contribution[in_src[e]];
         }
-        next[i] = base + redistribute + d * in_sum;
-        delta += std::fabs(next[i] - result.ranks[i]);
+        next[i] = base_rank + redistribute + d * in_sum;
+        sum.delta += std::fabs(next[i] - result.ranks[i]);
+        if (out_degree[i] == 0) {
+          next_contribution[i] = 0.0;
+          sum.dangling += next[i];
+        } else {
+          next_contribution[i] = next[i] / out_degree[i];
+        }
       }
-      partial[c] += delta;
+      partial[c] = sum;
     });
     result.ranks.swap(next);
+    contribution.swap(next_contribution);
     result.last_delta = 0.0;
-    for (double p : partial) result.last_delta += p;
+    dangling = 0.0;
+    for (const Partial& p : partial) {
+      result.last_delta += p.delta;
+      dangling += p.dangling;
+    }
     result.iterations = iter + 1;
     PageRankMetrics::Get().iterations.Increment();
     if (options.tolerance > 0 && result.last_delta < options.tolerance) {
       break;
     }
   }
+  result.iterate_ms = MsSince(iterate_start);
   return result;
 }
 

@@ -89,6 +89,16 @@ const Term& Dictionary::term(TermId id) const {
   return terms_[id - base_size_ - 1];
 }
 
+TermKind Dictionary::kind(TermId id) const {
+  if (id != kInvalidTermId && id <= base_size_) {
+    return base_->CatalogKind(id);
+  }
+  std::shared_lock<std::shared_mutex> read_lock(mu_);
+  KB_CHECK(id != kInvalidTermId && id - base_size_ <= terms_.size())
+      << "bad term id " << id;
+  return terms_[id - base_size_ - 1].kind();
+}
+
 const Term& Dictionary::BaseTerm(TermId id) const {
   const Term* cached = base_cache_[id].load(std::memory_order_acquire);
   if (cached != nullptr) return *cached;

@@ -34,6 +34,10 @@ class TermCatalog {
   /// Materializes the term for an id in [1, catalog_size()].
   virtual Term CatalogTerm(TermId id) const = 0;
 
+  /// Kind of the term for an id in [1, catalog_size()], without
+  /// materializing it.
+  virtual TermKind CatalogKind(TermId id) const = 0;
+
   /// Id of `term` in the catalog, or kInvalidTermId if absent.
   virtual TermId CatalogLookup(const Term& term) const = 0;
 };
@@ -72,6 +76,11 @@ class Dictionary {
 
   /// Returns the term for a valid id. Aborts on invalid id.
   const Term& term(TermId id) const;
+
+  /// Kind of the term for a valid id. Base ids are answered by the
+  /// catalog without materializing (or caching) a Term, so a scan can
+  /// test every id it meets. Aborts on invalid id.
+  TermKind kind(TermId id) const;
 
   /// Number of interned terms (base + overlay).
   size_t size() const;

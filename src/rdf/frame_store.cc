@@ -553,12 +553,6 @@ TermId FrameStore::LookupTerm(const Term& term) const {
   return kInvalidTermId;
 }
 
-Triple FrameStore::TripleAt(ScanOrder order, size_t idx) const {
-  const char* rec =
-      runs_[static_cast<int>(order)] + idx * kTripleRecordSize;
-  return Triple(LoadU32(rec), LoadU32(rec + 4), LoadU32(rec + 8));
-}
-
 size_t FrameStore::LowerBound(ScanOrder order, const Triple& key) const {
   size_t lo = 0, hi = num_triples_;
   while (lo < hi) {

@@ -2,6 +2,7 @@
 #define KBFORGE_RDF_FRAME_STORE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -128,6 +129,9 @@ class FrameStore : public TripleSource,
   // ---- TermCatalog ----
   size_t catalog_size() const override { return num_terms_; }
   Term CatalogTerm(TermId id) const override { return MaterializeTerm(id); }
+  TermKind CatalogKind(TermId id) const override {
+    return term_view(id).kind;
+  }
   TermId CatalogLookup(const Term& term) const override {
     return LookupTerm(term);
   }
@@ -153,7 +157,12 @@ class FrameStore : public TripleSource,
   }
 
   /// Decodes the idx-th record of `order`'s run.
-  Triple TripleAt(ScanOrder order, size_t idx) const;
+  Triple TripleAt(ScanOrder order, size_t idx) const {
+    const char* rec = runs_[static_cast<int>(order)] + idx * kTripleRecordSize;
+    uint32_t ids[3];
+    std::memcpy(ids, rec, sizeof(ids));
+    return Triple(ids[0], ids[1], ids[2]);
+  }
 
   /// First index in `order`'s run whose record is >= / > `key` in that
   /// collation (binary search over the packed records).

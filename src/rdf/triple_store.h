@@ -33,6 +33,10 @@ class StoreSnapshot : public TripleSource,
 
   size_t size() const { return spo_.size(); }
 
+  /// Every triple of the snapshot in SPO order, for jobs that read the
+  /// whole store by index range rather than through a scan.
+  const std::vector<Triple>& spo() const { return spo_; }
+
   /// Naive full-scan matcher over the snapshot, the model for
   /// property tests.
   std::vector<Triple> MatchFullScan(const TriplePattern& pattern) const;

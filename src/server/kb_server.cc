@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <exception>
 
 #include "analytics/class_stats.h"
@@ -434,7 +436,10 @@ std::string KbServer::HandleAnalytics(const Json& request) {
     return ErrorJson("not_leader",
                      "this replica is read-only; send writes to the leader");
   }
-  double damping = request.GetNumber("damping", 0.85);
+  const double damping = request.GetNumber("damping", 0.85);
+  if (!std::isfinite(damping) || damping < 0 || damping > 1) {
+    return ErrorJson("bad_request", "damping must be a number in [0, 1]");
+  }
   int iterations = 20;
   if (!request.GetInt("iterations", &iterations) || iterations < 1) {
     return BadField("iterations");
@@ -452,7 +457,11 @@ std::string KbServer::HandleAnalytics(const Json& request) {
   if (use_cache) {
     cache_key = "analytics|" + job + "|k=" + std::to_string(top_k);
     if (job == "pagerank") {
-      cache_key += "|d=" + std::to_string(damping) +
+      // The exact damping: two values a fixed-precision rendering
+      // would round together are different jobs.
+      char exact[32];
+      std::snprintf(exact, sizeof(exact), "%.17g", damping);
+      cache_key += "|d=" + std::string(exact) +
                    "|it=" + std::to_string(iterations);
     } else {
       cache_key += rollup ? "|rollup" : "|direct";

@@ -42,8 +42,9 @@ namespace server {
 ///
 /// Integer fields (deadline_ms, max_rows, max_facts, top_k, iterations,
 /// min_epoch, and a fact's year/support/extractor) must be whole numbers
-/// that fit the field's type, and iterations must be >= 1; anything
-/// else is a bad_request naming the field (a bad fact is skipped).
+/// that fit the field's type, and iterations must be >= 1; damping must
+/// be a finite number in [0, 1]. Anything else is a bad_request naming
+/// the field (a bad fact is skipped).
 ///
 /// Production concerns the in-process library lacks:
 ///   - The shared front door (server/event_loop.h) owns every

@@ -2,13 +2,16 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
 
 #include "analytics/class_stats.h"
 #include "analytics/pagerank.h"
+#include "core/kb_snapshot.h"
 #include "core/knowledge_base.h"
+#include "rdf/namespaces.h"
 #include "rdf/term.h"
 #include "rdf/triple_store.h"
 #include "util/thread_pool.h"
@@ -312,6 +315,204 @@ TEST(ClassStatsInsertTest, WritesCountFactsIntoKb) {
   auto counts = kb.store().MatchFullScan({rdf::kAnyTerm, prop, rdf::kAnyTerm});
   ASSERT_EQ(counts.size(), 1u);
   EXPECT_TRUE(kb.store().dict().term(counts[0].o).is_literal());
+}
+
+// ---------------------------------------------------------- hybrid store
+
+/// PageRank by brute force: the link graph as std::map adjacency from a
+/// full scan, then plain power iteration for a fixed iteration count.
+struct ReferenceRanks {
+  std::map<TermId, double> ranks;
+  size_t num_edges = 0;
+};
+
+ReferenceRanks BruteForcePageRank(const rdf::TripleStore& store,
+                                  const std::set<TermId>& excluded,
+                                  int iterations, double d) {
+  ReferenceRanks ref;
+  std::map<TermId, std::vector<TermId>> in_edges;
+  std::map<TermId, size_t> out_degree;
+  for (const rdf::Triple& t : store.MatchFullScan({})) {
+    if (excluded.count(t.p) > 0 || !store.dict().term(t.o).is_iri()) {
+      continue;
+    }
+    in_edges[t.o].push_back(t.s);
+    ++out_degree[t.s];
+    ref.ranks[t.s] = ref.ranks[t.o] = 0;
+    ++ref.num_edges;
+  }
+  const double n = static_cast<double>(ref.ranks.size());
+  for (auto& [node, rank] : ref.ranks) rank = 1.0 / n;
+  for (int it = 0; it < iterations; ++it) {
+    double dangling = 0;
+    for (const auto& [node, rank] : ref.ranks) {
+      if (out_degree.count(node) == 0) dangling += rank;
+    }
+    std::map<TermId, double> next;
+    for (const auto& [node, rank] : ref.ranks) {
+      double in_sum = 0;
+      for (TermId src : in_edges[node]) {
+        in_sum += ref.ranks.at(src) / static_cast<double>(out_degree[src]);
+      }
+      next[node] = (1 - d) / n + d * dangling / n + d * in_sum;
+    }
+    ref.ranks = std::move(next);
+  }
+  return ref;
+}
+
+/// A store over a FrameStore base (a serialized KB snapshot) plus a
+/// delta with overlay ids, literal objects on both sides and excluded
+/// predicates on both sides; and a plain store holding the same triples
+/// under the same ids.
+class HybridStoreAnalyticsTest : public ::testing::Test {
+ protected:
+  static std::string Entity(size_t i) { return "E" + std::to_string(i); }
+
+  void SetUp() override {
+    core::KnowledgeBase kb;
+    core::FactMeta meta;
+    std::mt19937 rng(41);
+    for (int i = 0; i < 300; ++i) {
+      kb.AssertFact(Entity(rng() % 50), "linksTo", Entity(rng() % 50), meta);
+    }
+    for (int i = 0; i < 50; i += 3) {
+      kb.AssertYearFact(Entity(i), "bornIn", 1900 + i, meta);
+    }
+    kb.AssertSubclass("Physicist", "Scientist");
+    kb.AssertSubclass("Scientist", "Person");
+    kb.AssertSubclass("Singer", "Person");
+    for (int i = 0; i < 50; ++i) {
+      kb.AssertType(Entity(i), i % 3 == 0 ? "Physicist" : "Singer");
+      if (i % 7 == 0) kb.AssertType(Entity(i), "Scientist");
+    }
+    kb.AssertLabel(Entity(0), "zero", "en");
+    auto bytes = core::SerializeKbSnapshot(kb);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto owner = std::make_shared<std::string>(std::move(*bytes));
+    auto base = rdf::FrameStore::Attach(owner->data(), owner->size(), owner);
+    ASSERT_TRUE(base.ok()) << base.status();
+    hybrid_ = std::make_unique<rdf::TripleStore>(*base);
+
+    rdf::Dictionary& dict = hybrid_->dict();
+    auto iri = [&](const std::string& s) { return dict.InternIri(s); };
+    link_ = iri(rdf::PropertyIri("linksTo"));
+    born_ = iri(rdf::PropertyIri("bornIn"));
+    type_ = iri(std::string(rdf::kRdfType));
+    subclass_ = iri(std::string(rdf::kRdfsSubClassOf));
+    label_ = iri(std::string(rdf::kRdfsLabel));
+    const size_t base_size = dict.base_size();
+    ASSERT_LE(std::max({link_, born_, type_, subclass_, label_}), base_size);
+
+    // The delta: overlay entities linked among themselves and into the
+    // base, overlay and base literal objects, overlay type triples and
+    // an overlay class under a base class.
+    std::vector<TermId> entities;
+    for (int i = 0; i < 50; ++i) {
+      entities.push_back(iri(rdf::EntityIri(Entity(i))));
+    }
+    for (int i = 0; i < 20; ++i) {
+      TermId fresh = iri(rdf::EntityIri("N" + std::to_string(i)));
+      ASSERT_GT(fresh, base_size);
+      entities.push_back(fresh);
+    }
+    for (int i = 0; i < 150; ++i) {
+      hybrid_->Add({entities[rng() % entities.size()], link_,
+                    entities[rng() % entities.size()]});
+    }
+    TermId base_year = dict.Lookup(Term::IntLiteral(1900));
+    ASSERT_NE(base_year, rdf::kInvalidTermId);
+    ASSERT_LE(base_year, base_size);
+    TermId chemist = iri(rdf::ClassIri("Chemist"));
+    hybrid_->Add({chemist, subclass_, iri(rdf::ClassIri("Scientist"))});
+    for (int i = 50; i < 70; ++i) {
+      hybrid_->Add(
+          {entities[i], born_, dict.Intern(Term::IntLiteral(2000 + i))});
+      hybrid_->Add({entities[i], born_, base_year});
+      hybrid_->Add({entities[i], type_,
+                    i % 2 == 0 ? chemist : iri(rdf::ClassIri("Singer"))});
+    }
+    hybrid_->Add(
+        {entities[55], label_, dict.Intern(Term::LangLiteral("n", "en"))});
+
+    for (TermId id = 1; id <= dict.size(); ++id) {
+      ASSERT_EQ(plain_.dict().Intern(dict.term(id)), id);
+    }
+    for (const rdf::Triple& t : hybrid_->MatchFullScan({})) plain_.Add(t);
+    ASSERT_EQ(plain_.size(), hybrid_->size());
+  }
+
+  PageRankOptions RankOptions(const rdf::TripleStore& store) const {
+    PageRankOptions options;
+    options.max_iterations = 30;
+    options.tolerance = 0;  // fixed iteration count: comparable runs
+    options.exclude_predicates = {type_, subclass_, label_};
+    options.iri_objects_only = &store.dict();
+    return options;
+  }
+
+  std::unique_ptr<rdf::TripleStore> hybrid_;
+  rdf::TripleStore plain_;
+  TermId link_ = 0, born_ = 0, type_ = 0, subclass_ = 0, label_ = 0;
+};
+
+TEST_F(HybridStoreAnalyticsTest, PageRankMatchesBruteForceReference) {
+  PageRankResult result =
+      ComputePageRank(*hybrid_, RankOptions(*hybrid_), nullptr);
+  ReferenceRanks ref =
+      BruteForcePageRank(*hybrid_, {type_, subclass_, label_}, 30, 0.85);
+  std::vector<TermId> ref_nodes;
+  for (const auto& [node, rank] : ref.ranks) ref_nodes.push_back(node);
+  ASSERT_EQ(result.nodes, ref_nodes);
+  EXPECT_EQ(result.num_edges, ref.num_edges);
+  EXPECT_EQ(result.iterations, 30);
+  for (size_t i = 0; i < result.nodes.size(); ++i) {
+    EXPECT_NEAR(result.ranks[i], ref.ranks.at(result.nodes[i]), 1e-12)
+        << result.nodes[i];
+  }
+  // Overlay ids are nodes; literal objects on either side are not.
+  EXPECT_GT(result.nodes.back(), hybrid_->dict().base_size());
+  for (TermId node : result.nodes) {
+    EXPECT_EQ(hybrid_->dict().kind(node), rdf::TermKind::kIri) << node;
+  }
+}
+
+TEST_F(HybridStoreAnalyticsTest, SerialPooledAndPlainCopyAgree) {
+  PageRankResult serial =
+      ComputePageRank(*hybrid_, RankOptions(*hybrid_), nullptr);
+  ThreadPool pool(4);
+  PageRankResult pooled =
+      ComputePageRank(*hybrid_, RankOptions(*hybrid_), &pool);
+  PageRankResult plain = ComputePageRank(plain_, RankOptions(plain_), &pool);
+  ASSERT_EQ(serial.nodes, pooled.nodes);
+  ASSERT_EQ(serial.nodes, plain.nodes);
+  EXPECT_EQ(serial.num_edges, pooled.num_edges);
+  EXPECT_EQ(serial.num_edges, plain.num_edges);
+  EXPECT_EQ(serial.iterations, pooled.iterations);
+  for (size_t i = 0; i < serial.ranks.size(); ++i) {
+    EXPECT_NEAR(serial.ranks[i], pooled.ranks[i], 1e-12) << i;
+    EXPECT_NEAR(serial.ranks[i], plain.ranks[i], 1e-12) << i;
+  }
+}
+
+TEST_F(HybridStoreAnalyticsTest, ClassStatsMatchPlainCopy) {
+  ClassStatsOptions options;
+  options.type_predicate = type_;
+  options.subclass_predicate = subclass_;
+  ThreadPool pool(4);
+  ClassStatsResult hybrid = ComputeClassStats(*hybrid_, options, nullptr);
+  ClassStatsResult pooled = ComputeClassStats(*hybrid_, options, &pool);
+  ClassStatsResult plain = ComputeClassStats(plain_, options, nullptr);
+  EXPECT_EQ(hybrid.counts, plain.counts);
+  EXPECT_EQ(hybrid.counts, pooled.counts);
+  EXPECT_EQ(hybrid.num_entities, 70u);
+  EXPECT_EQ(hybrid.num_entities, plain.num_entities);
+  EXPECT_EQ(hybrid.num_classes, plain.num_classes);
+  // Every entity is a Person, through Physicist, Singer or the overlay
+  // class Chemist.
+  EXPECT_EQ(CountOf(hybrid, hybrid_->dict().Lookup(
+                                Term::Iri(rdf::ClassIri("Person")))),
+            70u);
 }
 
 }  // namespace

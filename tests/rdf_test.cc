@@ -359,6 +359,70 @@ TEST(DictionaryTest, FrameStorePersistenceKeepsIdsStable) {
   EXPECT_EQ(reopened.base_size(), corpus.size());
 }
 
+/// A FrameStore catalog that counts how many base terms get
+/// materialized.
+class CountingCatalog : public TermCatalog {
+ public:
+  explicit CountingCatalog(std::shared_ptr<const FrameStore> store)
+      : store_(std::move(store)) {}
+
+  size_t catalog_size() const override { return store_->catalog_size(); }
+  Term CatalogTerm(TermId id) const override {
+    materialized_.fetch_add(1);
+    return store_->CatalogTerm(id);
+  }
+  TermKind CatalogKind(TermId id) const override {
+    return store_->CatalogKind(id);
+  }
+  TermId CatalogLookup(const Term& term) const override {
+    return store_->CatalogLookup(term);
+  }
+  int materialized() const { return materialized_.load(); }
+
+ private:
+  std::shared_ptr<const FrameStore> store_;
+  mutable std::atomic<int> materialized_{0};
+};
+
+TEST(DictionaryTest, KindByIdCoversBaseAndOverlayWithoutMaterializing) {
+  const std::vector<Term> base_terms = {
+      Term::Iri(rdf::EntityIri("Base")), Term::Literal("plain"),
+      Term::LangLiteral("Vienne", "fr"), Term::IntLiteral(1972),
+      Term::Blank("b0")};
+  FrameStoreBuilder builder;
+  for (const Term& t : base_terms) builder.AddTerm(t);
+  auto bytes = builder.Serialize();
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto owner = std::make_shared<std::string>(std::move(*bytes));
+  auto store = FrameStore::Attach(owner->data(), owner->size(), owner);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto catalog = std::make_shared<CountingCatalog>(*store);
+
+  Dictionary dict(catalog);
+  const std::vector<Term> overlay_terms = {
+      Term::Literal("overlay"), Term::Iri(rdf::EntityIri("Overlay")),
+      Term::Blank("b1"),
+      Term::TypedLiteral("2000-01-01", std::string(rdf::kXsdDate))};
+  std::vector<Term> all = base_terms;
+  for (const Term& t : overlay_terms) {
+    EXPECT_GT(dict.Intern(t), dict.base_size());
+    all.push_back(t);
+  }
+  ASSERT_EQ(dict.size(), all.size());
+  for (TermId id = 1; id <= all.size(); ++id) {
+    EXPECT_EQ(dict.kind(id), all[id - 1].kind()) << "id " << id;
+    if (id <= dict.base_size()) {
+      EXPECT_EQ((*store)->CatalogKind(id), all[id - 1].kind());
+    }
+  }
+  // Answering every base kind materialized no base Term.
+  EXPECT_EQ(catalog->materialized(), 0);
+  // The counter does see materialization: term() on a base id builds
+  // the Term.
+  EXPECT_EQ(dict.term(2).kind(), TermKind::kLiteral);
+  EXPECT_EQ(catalog->materialized(), 1);
+}
+
 TEST(DictionaryTest, ConcurrentLookupsDuringInterning) {
   // One writer interning a stream of new terms while readers hammer
   // Lookup/term on everything interned so far — the contract the KB

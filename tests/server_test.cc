@@ -306,10 +306,28 @@ TEST(KbServerTest, OutOfRangeNumericFieldsAreBadRequests) {
     expect_bad("entity_card", "max_facts", value);
     expect_bad("analytics", "top_k", value);
     expect_bad("analytics", "iterations", value);
+    expect_bad("analytics", "damping", value);
   }
   expect_bad("query", "min_epoch", -1);
   expect_bad("analytics", "iterations", 0);
   expect_bad("analytics", "iterations", -5);
+  expect_bad("analytics", "damping", -0.01);
+  expect_bad("analytics", "damping", 1.0000001);
+
+  // Dampings keep their exact value in the analytics cache key: one
+  // that rounds to the same six decimals is a different job, not a hit.
+  auto near = client.Call(request("analytics", "damping", 0.85));
+  ASSERT_TRUE(near.ok()) << near.status();
+  auto nearer = client.Call(request("analytics", "damping", 0.8500001));
+  ASSERT_TRUE(nearer.ok()) << nearer.status();
+  EXPECT_FALSE(nearer->GetBool("cached"));
+  auto repeat = client.Call(request("analytics", "damping", 0.8500001));
+  ASSERT_TRUE(repeat.ok()) << repeat.status();
+  EXPECT_TRUE(repeat->GetBool("cached"));
+  for (double edge : {0.0, 1.0}) {
+    auto bound = client.Call(request("analytics", "damping", edge));
+    EXPECT_TRUE(bound.ok()) << "damping=" << edge << ": " << bound.status();
+  }
 
   // In-range values keep their meaning: a negative deadline is none and
   // a non-positive top_k is the default.
