@@ -17,6 +17,7 @@
 #include "server/protocol.h"
 #include "storage/wal.h"
 #include "util/logging.h"
+#include "util/metrics_registry.h"
 
 namespace kb {
 namespace replication {
@@ -28,6 +29,28 @@ constexpr char kEpochKey[] = "!repl.epoch";
 
 std::string PosKey(uint32_t shard) {
   return kPosKeyPrefix + std::to_string(shard);
+}
+
+/// Microseconds to apply one shipped log record: the durable copy plus
+/// the KB asserts of its whole batch.
+Histogram& ApplyMicros() {
+  static Histogram& histogram =
+      MetricsRegistry::Default().histogram("repl.apply_us");
+  return histogram;
+}
+
+void AssertBatch(const std::vector<server::WireFact>& batch,
+                 core::KnowledgeBase* kb) {
+  for (const server::WireFact& fact : batch) {
+    core::FactMeta meta;
+    meta.confidence = fact.confidence;
+    meta.support = fact.support;
+    if (fact.has_year) {
+      kb->AssertYearFact(fact.s, fact.p, fact.year, meta);
+    } else {
+      kb->AssertFact(fact.s, fact.p, fact.o, meta);
+    }
+  }
 }
 
 }  // namespace
@@ -80,22 +103,15 @@ StatusOr<std::unique_ptr<FollowerReplica>> FollowerReplica::Open(
   // base content is already in `kb`; asserts of already-present facts
   // just merge metadata.
   uint64_t rebuilt = 0;
+  std::vector<server::WireFact> batch;
   s = replica->store_->Scan(
       Slice(kFactKeyPrefix), Slice("f;"),
       [&](const Slice& key, const Slice& value) {
         uint64_t seq = 0;
         if (!ParseFactKey(key, &seq)) return true;
-        server::WireFact fact;
-        if (!DecodeFactRecord(value, &fact).ok()) return true;
-        core::FactMeta meta;
-        meta.confidence = fact.confidence;
-        meta.support = fact.support;
-        if (fact.has_year) {
-          kb->AssertYearFact(fact.s, fact.p, fact.year, meta);
-        } else {
-          kb->AssertFact(fact.s, fact.p, fact.o, meta);
-        }
-        ++rebuilt;
+        if (!DecodeFactBatch(value, &batch).ok()) return true;
+        AssertBatch(batch, kb);
+        rebuilt += batch.size();
         return true;
       });
   if (!s.ok()) return s;
@@ -292,29 +308,23 @@ Status FollowerReplica::ApplyChunk(const WalChunk& chunk) {
 Status FollowerReplica::ApplyRecord(const Slice& key, const Slice& value) {
   uint64_t seq = 0;
   if (!ParseFactKey(key, &seq)) return Status::OK();  // not a fact record
-  server::WireFact fact;
-  Status s = DecodeFactRecord(value, &fact);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<server::WireFact> batch;
+  Status s = DecodeFactBatch(value, &batch);
   if (!s.ok()) return s;
   // Durable copy first, KB second: a crash in between re-applies the
   // record on restart (both sides idempotent).
   s = store_->Put(key, value);
   if (!s.ok()) return s;
-  auto assert_fact = [&] {
-    core::FactMeta meta;
-    meta.confidence = fact.confidence;
-    meta.support = fact.support;
-    if (fact.has_year) {
-      kb_->AssertYearFact(fact.s, fact.p, fact.year, meta);
-    } else {
-      kb_->AssertFact(fact.s, fact.p, fact.o, meta);
-    }
-  };
   if (server_ != nullptr) {
-    server_->WithWriteLock(assert_fact);
+    server_->WithWriteLock([&] { AssertBatch(batch, kb_); });
   } else {
-    assert_fact();
+    AssertBatch(batch, kb_);
   }
-  applied_records_.fetch_add(1, std::memory_order_acq_rel);
+  applied_records_.fetch_add(batch.size(), std::memory_order_acq_rel);
+  ApplyMicros().Observe(std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
   return Status::OK();
 }
 

@@ -22,9 +22,9 @@ namespace replication {
 /// A follower replica's replication engine. It keeps three things in
 /// lockstep:
 ///
-///   - a local ShardedKVStore holding every shipped "f:<seq>" record
-///     (the durable copy — a restart rebuilds from here, not from the
-///     network),
+///   - a local ShardedKVStore holding every shipped "f:<seq>" record,
+///     one per leader write batch (the durable copy — a restart
+///     rebuilds from here, not from the network),
 ///   - the in-memory KnowledgeBase the read-only KbServer serves
 ///     (base content built deterministically, identical to the
 ///     leader's; replicated facts asserted on top),
@@ -80,8 +80,8 @@ class FollowerReplica {
   uint64_t applied_epoch() const {
     return applied_epoch_.load(std::memory_order_acquire);
   }
-  /// Total fact records decoded and asserted (includes idempotent
-  /// re-applies after a restart).
+  /// Total facts decoded and asserted, counted per fact, not per log
+  /// record (includes idempotent re-applies after a restart).
   uint64_t applied_records() const {
     return applied_records_.load(std::memory_order_acquire);
   }
@@ -103,8 +103,9 @@ class FollowerReplica {
   void SessionLoop();
   Status RunSession();
   Status ApplyChunk(const WalChunk& chunk);
-  /// Asserts one decoded log record into the store + KB (under the
-  /// server's write lock when a server is attached).
+  /// Applies one shipped log record: one Put of the durable copy, then
+  /// the KB asserts of its whole batch under one hold of the server's
+  /// write lock (when a server is attached). Observes repl.apply_us.
   Status ApplyRecord(const Slice& key, const Slice& value);
   Status PersistPositions(bool with_epoch, uint64_t epoch);
 

@@ -21,33 +21,42 @@ StatusOr<std::unique_ptr<ReplicationLog>> ReplicationLog::Open(
 
   auto log = std::unique_ptr<ReplicationLog>(new ReplicationLog());
   log->store_ = std::move(*store);
-  // Resume the sequence after the largest persisted fact key. The scan
-  // is globally key-ordered, and fixed-width keys make key order equal
-  // append order.
-  uint64_t max_seq = 0;
+  // Resume the sequence after the last persisted batch: its key is the
+  // batch's first sequence number, and its value says how many facts
+  // the batch holds. The scan is globally key-ordered, and fixed-width
+  // keys make key order equal append order.
+  uint64_t last_seq = 0;
   bool any = false;
   Status s = log->store_->Scan(
       Slice(kFactKeyPrefix), Slice("f;"),  // ';' is ':' + 1
       [&](const Slice& key, const Slice&) {
         uint64_t seq = 0;
         if (ParseFactKey(key, &seq)) {
-          max_seq = seq;
+          last_seq = seq;
           any = true;
         }
         return true;
       });
   if (!s.ok()) return s;
-  log->next_seq_ = any ? max_seq + 1 : 0;
+  if (any) {
+    std::string value;
+    s = log->store_->Get(Slice(FactKey(last_seq)), &value);
+    std::vector<server::WireFact> last_batch;
+    if (s.ok()) s = DecodeFactBatch(Slice(value), &last_batch);
+    if (!s.ok()) return s;
+    log->next_seq_ = last_seq + last_batch.size();
+  }
   return log;
 }
 
 Status ReplicationLog::Append(const std::vector<server::WireFact>& batch) {
+  if (batch.empty()) return Status::OK();
+  std::string value;
+  for (const server::WireFact& fact : batch) value += EncodeFactRecord(fact);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const server::WireFact& fact : batch) {
-    Status s = store_->Put(FactKey(next_seq_), EncodeFactRecord(fact));
-    if (!s.ok()) return s;
-    ++next_seq_;
-  }
+  Status s = store_->Put(FactKey(next_seq_), value);
+  if (!s.ok()) return s;
+  next_seq_ += batch.size();
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "util/varint.h"
 
@@ -181,34 +182,55 @@ std::string EncodeFactRecord(const server::WireFact& fact) {
   return out;
 }
 
-Status DecodeFactRecord(const Slice& value, server::WireFact* fact) {
-  Slice input = value;
+namespace {
+
+/// Decodes one EncodeFactRecord encoding from the front of `input`.
+Status GetFactRecord(Slice* input, server::WireFact* fact) {
   Slice s, p;
-  if (!GetLengthPrefixed(&input, &s) || !GetLengthPrefixed(&input, &p)) {
+  if (!GetLengthPrefixed(input, &s) || !GetLengthPrefixed(input, &p)) {
     return Truncated("fact s/p");
   }
   fact->s.assign(s.data(), s.size());
   fact->p.assign(p.data(), p.size());
-  if (input.empty()) return Truncated("fact year flag");
-  fact->has_year = input[0] != 0;
-  input.remove_prefix(1);
+  if (input->empty()) return Truncated("fact year flag");
+  fact->has_year = (*input)[0] != 0;
+  input->remove_prefix(1);
   if (fact->has_year) {
     uint32_t year = 0;
-    if (!GetFixed32(&input, &year)) return Truncated("fact year");
+    if (!GetFixed32(input, &year)) return Truncated("fact year");
     fact->year = static_cast<int32_t>(year);
     fact->o.clear();
   } else {
     Slice o;
-    if (!GetLengthPrefixed(&input, &o)) return Truncated("fact o");
+    if (!GetLengthPrefixed(input, &o)) return Truncated("fact o");
     fact->o.assign(o.data(), o.size());
     fact->year = 0;
   }
   uint64_t confidence_bits = 0;
-  if (!GetFixed64(&input, &confidence_bits) ||
-      !GetVarint32(&input, &fact->support)) {
+  if (!GetFixed64(input, &confidence_bits) ||
+      !GetVarint32(input, &fact->support)) {
     return Truncated("fact meta");
   }
   ::memcpy(&fact->confidence, &confidence_bits, sizeof(fact->confidence));
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DecodeFactBatch(const Slice& value,
+                       std::vector<server::WireFact>* facts) {
+  facts->clear();
+  if (value.empty()) return Truncated("empty fact batch");
+  Slice input = value;
+  while (!input.empty()) {
+    server::WireFact fact;
+    Status s = GetFactRecord(&input, &fact);
+    if (!s.ok()) {
+      facts->clear();
+      return s;
+    }
+    facts->push_back(std::move(fact));
+  }
   return Status::OK();
 }
 

@@ -90,17 +90,26 @@ Status DecodeManifest(const Slice& payload, Manifest* manifest);
 Status DecodeDataRound(const Slice& payload, DataRound* round);
 Status DecodeAck(const Slice& payload, Ack* ack);
 
-/// Replicated facts live in the log store under "f:<seq>" with a
-/// fixed-width decimal sequence so lexicographic key order is append
-/// order and a follower rebuild is one range scan.
+/// Replicated write batches live in the log store under "f:<seq>",
+/// where <seq> is the sequence number of the batch's first fact, as a
+/// fixed-width decimal so lexicographic key order is append order and
+/// a follower rebuild is one range scan.
 inline constexpr char kFactKeyPrefix[] = "f:";
 std::string FactKey(uint64_t seq);
 /// Inverse of FactKey; false when `key` is not a fact key.
 bool ParseFactKey(const Slice& key, uint64_t* seq);
 
-/// Compact binary codec for the fact payload itself.
+/// Compact binary codec for the fact payload itself. Encodings are
+/// self-delimiting, so a log record's value is one write batch: the
+/// EncodeFactRecord bytes of its facts, concatenated, under the
+/// FactKey of the batch's first sequence number. A record from a log
+/// written one fact per record is simply a batch of one.
 std::string EncodeFactRecord(const server::WireFact& fact);
-Status DecodeFactRecord(const Slice& value, server::WireFact* fact);
+/// Decodes a whole record value into its facts. An empty value, a
+/// truncated fact or trailing bytes that are not a whole fact are
+/// InvalidArgument, and leave `facts` empty.
+Status DecodeFactBatch(const Slice& value,
+                       std::vector<server::WireFact>* facts);
 
 }  // namespace replication
 }  // namespace kb

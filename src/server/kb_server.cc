@@ -52,6 +52,7 @@ struct KbServer::Metrics {
   Histogram& request_ms;
   Histogram& query_ms;
   Histogram& analytics_ms;
+  Histogram& repl_append_ms;
 
   static Metrics* Get() {
     static Metrics* m = [] {
@@ -67,6 +68,7 @@ struct KbServer::Metrics {
           r.histogram("server.request_ms"),
           r.histogram("server.query_ms"),
           r.histogram("server.analytics_ms"),
+          r.histogram("repl.append_ms"),
       };
     }();
     return m;
@@ -372,21 +374,22 @@ std::string KbServer::HandleInsertFacts(const Json& request) {
     batch.push_back(std::move(wire));
     metas.push_back(meta);
   }
+  if (options_.pre_insert_hook && !batch.empty()) {
+    // Log before apply, and before the exclusive lock so readers never
+    // wait on the log's fsync: a follower can over-receive (idempotent
+    // replay dedups) but must never under-receive relative to the
+    // epoch this response publishes.
+    ScopedTimer append_timer(metrics_->repl_append_ms);
+    Status logged = options_.pre_insert_hook(batch);
+    if (!logged.ok()) {
+      metrics_->errors.Increment();
+      return ErrorJson("internal",
+                       "replication log append failed: " + logged.ToString());
+    }
+  }
   size_t inserted = 0, merged = 0;
   {
     std::unique_lock<std::shared_mutex> lock(kb_mu_);
-    if (options_.pre_insert_hook && !batch.empty()) {
-      // Log before apply: a follower can over-receive (idempotent
-      // replay dedups) but must never under-receive relative to the
-      // epoch this response publishes.
-      Status logged = options_.pre_insert_hook(batch);
-      if (!logged.ok()) {
-        metrics_->errors.Increment();
-        return ErrorJson("internal",
-                         "replication log append failed: " +
-                             logged.ToString());
-      }
-    }
     for (size_t i = 0; i < batch.size(); ++i) {
       const WireFact& wire = batch[i];
       bool fresh = wire.has_year

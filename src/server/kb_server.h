@@ -66,9 +66,10 @@ namespace server {
 ///     every write batch invalidates by construction (server/
 ///     result_cache.h).
 ///
-/// Writes go through the `insert_facts` endpoint under an exclusive
-/// lock (reads hold it shared while touching the dictionary), so term
-/// rendering never races interning. External code mutating the KB
+/// Writes go through the `insert_facts` endpoint, which asserts under
+/// an exclusive lock (reads hold it shared while touching the
+/// dictionary), so term rendering never races interning; the
+/// replication hook runs before that lock. External code mutating the KB
 /// directly while the server runs must take no such license.
 class KbServer {
  public:
@@ -91,11 +92,20 @@ class KbServer {
     /// progress in *their* numbering, while this is the leader epoch
     /// the replica provably reflects.
     std::function<uint64_t()> applied_epoch_fn;
-    /// Leader-side replication hook, called under the exclusive KB
-    /// lock with the validated batch *before* any fact is asserted. A
-    /// failure aborts the whole insert — the durability order is log
-    /// first, KB second, so a published epoch E always means "every
-    /// write <= E is in the replication log".
+    /// Leader-side replication hook, called with the validated batch
+    /// *before* the exclusive KB lock is taken and before any fact is
+    /// asserted, so readers never wait on its fsync. A failure aborts
+    /// the whole insert — the durability order is log first, KB
+    /// second, so a published epoch E always means "every write <= E
+    /// is in the replication log". Concurrent batches may therefore
+    /// reach the KB in a different order than the hook logged them.
+    /// That is safe: asserting the same fact twice merges metadata
+    /// (max confidence, summed support), which commutes, and followers
+    /// already apply the log's shards out of global sequence order.
+    /// What does depend on apply order is local: which of two batches
+    /// carrying the same fact reports it `inserted` rather than
+    /// `merged`, and whose extractor id (not in the log) is kept.
+    /// Its latency is recorded in the repl.append_ms histogram.
     std::function<Status(const std::vector<WireFact>&)> pre_insert_hook;
   };
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 #include "util/logging.h"
@@ -49,18 +51,54 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // chunking keeps the queue short while balancing uneven work.
   size_t chunk = n / (num_threads() * 4);
   if (chunk == 0) chunk = 1;
-  std::atomic<size_t> next{0};
-  for (size_t w = 0; w < num_threads(); ++w) {
-    Submit([&next, n, chunk, &fn] {
+  const size_t num_chunks = (n + chunk - 1) / chunk;
+  // Per-call state, shared with the helper tasks. The caller waits only
+  // for helpers that have started: a helper still queued behind other
+  // callers' work when this call returns finds no index left and never
+  // touches `fn`.
+  struct Call {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done_cv;
+    size_t running = 0;
+    std::exception_ptr first_exception;
+  };
+  auto call = std::make_shared<Call>();
+  const std::function<void(size_t)>* body = &fn;
+  auto run_chunks = [call, body, n, chunk] {
+    try {
       while (true) {
-        size_t start = next.fetch_add(chunk);
+        size_t start = call->next.fetch_add(chunk);
         if (start >= n) return;
         size_t end = std::min(n, start + chunk);
-        for (size_t i = start; i < end; ++i) fn(i);
+        for (size_t i = start; i < end; ++i) (*body)(i);
       }
+    } catch (...) {
+      call->next.store(n);  // hand out no further indices
+      std::lock_guard<std::mutex> lock(call->mu);
+      if (!call->first_exception) {
+        call->first_exception = std::current_exception();
+      }
+    }
+  };
+  // The caller is one of the num_threads() runners, so a call makes
+  // progress even while every worker is busy with other callers' tasks.
+  const size_t helpers = std::min(num_threads(), num_chunks) - 1;
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([call, run_chunks] {
+      {
+        std::lock_guard<std::mutex> lock(call->mu);
+        ++call->running;
+      }
+      run_chunks();
+      std::lock_guard<std::mutex> lock(call->mu);
+      if (--call->running == 0) call->done_cv.notify_all();
     });
   }
-  Wait();
+  run_chunks();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done_cv.wait(lock, [&call] { return call->running == 0; });
+  if (call->first_exception) std::rethrow_exception(call->first_exception);
 }
 
 void ThreadPool::WorkerLoop() {

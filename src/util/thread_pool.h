@@ -26,15 +26,20 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Blocks until the queue is empty and all workers are idle. If any
-  /// task threw since the last Wait, rethrows the first such exception
-  /// (the remaining tasks still ran to completion or threw silently).
+  /// submitted task threw since the last Wait, rethrows the first such
+  /// exception (the remaining tasks still ran to completion or threw
+  /// silently).
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for
-  /// completion. Rethrows the first exception any fn(i) threw; indices
-  /// handed to other workers may still run before the rethrow.
+  /// Runs fn(i) for i in [0, n) on the calling thread plus up to
+  /// num_threads() - 1 workers, and returns once every index has run.
+  /// It waits only for this call's work, never for other tasks on the
+  /// pool, so concurrent callers sharing one pool do not wait on each
+  /// other. Rethrows the first exception this call's fn(i) threw (an
+  /// index already handed out may still run before the rethrow);
+  /// another caller's exception is never seen here.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:

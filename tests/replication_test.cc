@@ -253,28 +253,65 @@ TEST(ReplProtocolTest, DecodersRejectTruncatedPayloads) {
   EXPECT_FALSE(DecodeManifest(Slice(frame), &manifest).ok());  // wrong tag
 }
 
-TEST(ReplProtocolTest, FactRecordRoundTrip) {
-  WireFact in;
-  in.s = "Ada";
-  in.p = "worksFor";
-  in.o = "Acme";
-  in.confidence = 0.625;
-  in.support = 3;
-  WireFact out;
-  ASSERT_TRUE(DecodeFactRecord(Slice(EncodeFactRecord(in)), &out).ok());
-  EXPECT_EQ(out.s, "Ada");
-  EXPECT_EQ(out.o, "Acme");
-  EXPECT_EQ(out.confidence, 0.625);
-  EXPECT_EQ(out.support, 3u);
+TEST(ReplWritePathTest, DecodeFactBatchRoundTripsYearAndObjectFacts) {
+  WireFact object_fact;
+  object_fact.s = "Ada";
+  object_fact.p = "worksFor";
+  object_fact.o = "Acme";
+  object_fact.confidence = 0.625;
+  object_fact.support = 3;
+  WireFact year_fact;
+  year_fact.s = "Acme";
+  year_fact.p = "foundedIn";
+  year_fact.has_year = true;
+  year_fact.year = -44;  // negative years survive the fixed32 cast
+  year_fact.support = 1;
 
-  WireFact year;
-  year.s = "Acme";
-  year.p = "foundedIn";
-  year.has_year = true;
-  year.year = -44;  // negative years survive the fixed32 cast
-  ASSERT_TRUE(DecodeFactRecord(Slice(EncodeFactRecord(year)), &out).ok());
-  EXPECT_TRUE(out.has_year);
-  EXPECT_EQ(out.year, -44);
+  const std::string value = EncodeFactRecord(object_fact) +
+                            EncodeFactRecord(year_fact) +
+                            EncodeFactRecord(object_fact);
+  std::vector<WireFact> out;
+  ASSERT_TRUE(DecodeFactBatch(Slice(value), &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].s, "Ada");
+  EXPECT_EQ(out[0].o, "Acme");
+  EXPECT_FALSE(out[0].has_year);
+  EXPECT_EQ(out[0].confidence, 0.625);
+  EXPECT_EQ(out[0].support, 3u);
+  EXPECT_EQ(out[1].s, "Acme");
+  EXPECT_EQ(out[1].p, "foundedIn");
+  EXPECT_TRUE(out[1].has_year);
+  EXPECT_EQ(out[1].year, -44);
+  EXPECT_TRUE(out[1].o.empty());
+  EXPECT_EQ(out[2].o, "Acme");
+}
+
+TEST(ReplWritePathTest, LegacyPerFactRecordDecodesAsBatchOfOne) {
+  std::vector<WireFact> out;
+  ASSERT_TRUE(DecodeFactBatch(Slice(EncodeFactRecord(MakeFact(7))), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].s, "Person_7");
+  EXPECT_EQ(out[0].o, "Globex");
+  EXPECT_EQ(out[0].confidence, 0.8);
+}
+
+TEST(ReplWritePathTest, DecodeFactBatchRejectsEmptyTruncatedAndTrailingBytes) {
+  std::vector<WireFact> out;
+  EXPECT_FALSE(DecodeFactBatch(Slice(""), &out).ok());
+
+  const std::string two = EncodeFactRecord(MakeFact(1)) +
+                          EncodeFactRecord(MakeFact(2));
+  const size_t first_len = EncodeFactRecord(MakeFact(1)).size();
+  for (size_t cut = 1; cut < two.size(); ++cut) {
+    if (cut == first_len) continue;  // a whole one-fact batch
+    out.assign(1, MakeFact(99));
+    EXPECT_FALSE(DecodeFactBatch(Slice(two.data(), cut), &out).ok())
+        << "prefix of " << cut << " bytes decoded";
+    EXPECT_TRUE(out.empty()) << "partial batch leaked at cut " << cut;
+  }
+  // Bytes after the last whole fact that are not a fact themselves.
+  EXPECT_FALSE(DecodeFactBatch(Slice(two + "\x05" "ab"), &out).ok());
+  EXPECT_FALSE(DecodeFactBatch(Slice(two + std::string(1, '\0')), &out).ok());
 }
 
 TEST(ReplProtocolTest, FactKeysSortInSequenceOrder) {
@@ -338,6 +375,168 @@ TEST(ReplicationLogTest, SequenceResumesAcrossReopen) {
   auto log = ReplicationLog::Open(options, dir);
   ASSERT_TRUE(log.ok()) << log.status();
   EXPECT_EQ((*log)->next_seq(), 3u);  // no seq reuse after restart
+}
+
+/// Every fact-key sequence number in the log store, in key order.
+std::vector<uint64_t> LoggedKeys(ReplicationLog* log) {
+  std::vector<uint64_t> keys;
+  Status s = log->store()->Scan(
+      Slice(kFactKeyPrefix), Slice("f;"),
+      [&](const Slice& key, const Slice&) {
+        uint64_t seq = 0;
+        if (ParseFactKey(key, &seq)) keys.push_back(seq);
+        return true;
+      });
+  EXPECT_TRUE(s.ok()) << s;
+  return keys;
+}
+
+/// Every fact subject in the log store, over all its batches.
+std::multiset<std::string> LoggedSubjects(ReplicationLog* log) {
+  std::multiset<std::string> subjects;
+  Status s = log->store()->Scan(
+      Slice(kFactKeyPrefix), Slice("f;"),
+      [&](const Slice&, const Slice& value) {
+        std::vector<WireFact> batch;
+        EXPECT_TRUE(DecodeFactBatch(value, &batch).ok());
+        for (const WireFact& fact : batch) subjects.insert(fact.s);
+        return true;
+      });
+  EXPECT_TRUE(s.ok()) << s;
+  return subjects;
+}
+
+TEST(ReplWritePathTest, ReopenResumesAfterTheLastBatchsLastFact) {
+  std::string dir = TempDir("batch_resume");
+  ReplicationLog::Options options;
+  options.num_shards = 2;
+  {
+    auto log = ReplicationLog::Open(options, dir);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_TRUE((*log)->Append({MakeFact(0), MakeFact(1), MakeFact(2)}).ok());
+    ASSERT_TRUE((*log)->Append({MakeFact(3), MakeFact(4)}).ok());
+    EXPECT_EQ((*log)->next_seq(), 5u);
+    // One record per batch, keyed by the batch's first sequence number.
+    EXPECT_EQ(LoggedKeys(log->get()), (std::vector<uint64_t>{0, 3}));
+  }
+  auto log = ReplicationLog::Open(options, dir);
+  ASSERT_TRUE(log.ok()) << log.status();
+  EXPECT_EQ((*log)->next_seq(), 5u);
+  ASSERT_TRUE((*log)->Append({MakeFact(5)}).ok());
+  EXPECT_EQ((*log)->next_seq(), 6u);
+  EXPECT_EQ(LoggedKeys(log->get()), (std::vector<uint64_t>{0, 3, 5}));
+  EXPECT_EQ(LoggedSubjects(log->get()).size(), 6u);
+}
+
+TEST(ReplWritePathTest, LegacyPerFactLogReopensAndShipsToAFollower) {
+  // A log written one fact per record, the layout before batches were
+  // records: the store the log opens, with four per-fact keys.
+  std::string dir = TempDir("legacy_log");
+  {
+    storage::ShardedStoreOptions store_options;
+    store_options.num_shards = 2;
+    store_options.store.retain_wals = true;
+    auto store = storage::ShardedKVStore::Recover(store_options, dir);
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(
+          (*store)->Put(FactKey(i), EncodeFactRecord(MakeFact(i))).ok());
+    }
+  }
+  ReplicationLog::Options options;
+  options.num_shards = 2;
+  auto opened = ReplicationLog::Open(options, dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::unique_ptr<ReplicationLog> log = std::move(*opened);
+  EXPECT_EQ(log->next_seq(), 4u);
+  ASSERT_TRUE(log->Append({MakeFact(4), MakeFact(5)}).ok());
+  EXPECT_EQ(log->next_seq(), 6u);
+  EXPECT_EQ(LoggedKeys(log.get()), (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+
+  auto apply_count = [] {
+    const MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
+    const HistogramSnapshot* h = snapshot.histogram("repl.apply_us");
+    return h == nullptr ? uint64_t{0} : h->count;
+  };
+  const uint64_t applied_before = apply_count();
+  WalShipper::Options ship_options;
+  ship_options.poll_interval_ms = 5;
+  WalShipper shipper(log.get(), [] { return uint64_t{1}; }, ship_options);
+  ASSERT_TRUE(shipper.Start().ok());
+  {
+    Follower follower(shipper.port(), TempDir("legacy_follower"));
+    ASSERT_TRUE(WaitFor(
+        [&] {
+          return follower.replica->applied_records() >= 6 &&
+                 follower.replica->applied_epoch() >= 1;
+        },
+        5000))
+        << "follower applied " << follower.replica->applied_records();
+    KbClient client;
+    ASSERT_TRUE(client.Connect(follower.server->port()).ok());
+    EXPECT_EQ(CountRows(&client, WorksForQuery("Globex")), 6u);
+  }
+  // Four legacy records and one batch record, one observation each.
+  EXPECT_GE(apply_count(), applied_before + 5);
+  shipper.Stop();
+}
+
+TEST(ReplWritePathTest, FailedAppendLeavesNoFactOfTheBatchInLogOrKb) {
+  std::string dir = TempDir("append_fault");
+  storage::FaultInjectionEnv env(storage::Env::Default());
+  ReplicationLog::Options options;
+  options.num_shards = 2;
+  options.env = &env;
+  auto opened = ReplicationLog::Open(options, dir);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  std::unique_ptr<ReplicationLog> log = std::move(*opened);
+
+  // Count the IO ops of one five-fact append, then crash the env
+  // halfway through the ops of the next one.
+  const uint64_t ops_before = env.op_count();
+  ASSERT_TRUE(log->Append({MakeFact(0), MakeFact(1), MakeFact(2), MakeFact(3),
+                           MakeFact(4)})
+                  .ok());
+  const uint64_t ops_per_append = env.op_count() - ops_before;
+  ASSERT_GT(ops_per_append, 1u);
+
+  core::KnowledgeBase kb = MakeBaseKb();
+  KbServer::Options server_options;
+  server_options.pre_insert_hook = [&log](const std::vector<WireFact>& batch) {
+    return log->Append(batch);
+  };
+  auto server = std::make_unique<KbServer>(&kb, server_options);
+  ASSERT_TRUE(server->Start().ok());
+  const uint64_t epoch_before = kb.epoch();
+
+  storage::FaultInjectionEnv::Options fault;
+  fault.fail_at_op = ops_per_append / 2 + 1;
+  env.Reset(fault);
+  KbClient client;
+  ASSERT_TRUE(client.Connect(server->port()).ok());
+  std::vector<WireFact> batch;
+  for (int i = 10; i < 15; ++i) batch.push_back(MakeFact(i));
+  auto inserted = client.InsertFacts(batch);
+  EXPECT_FALSE(inserted.ok());
+  EXPECT_TRUE(env.crashed());
+
+  // None of the batch in the KB ...
+  EXPECT_EQ(kb.epoch(), epoch_before);
+  EXPECT_EQ(CountRows(&client, WorksForQuery("Globex")), 0u);
+  // ... nor in the log, before or after a machine crash.
+  const std::multiset<std::string> first_batch = {
+      "Person_0", "Person_1", "Person_2", "Person_3", "Person_4"};
+  EXPECT_EQ(LoggedSubjects(log.get()), first_batch);
+  EXPECT_EQ(log->next_seq(), 5u);
+  server->Stop();
+  server.reset();
+  log.reset();
+  ASSERT_TRUE(env.DropUnsyncedData().ok());
+  env.Reset(storage::FaultInjectionEnv::Options());
+  auto reopened = ReplicationLog::Open(options, dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(LoggedSubjects(reopened->get()), first_batch);
+  EXPECT_EQ((*reopened)->next_seq(), 5u);
 }
 
 // -------------------------------------------- shipping and catch-up

@@ -14,9 +14,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,6 +221,123 @@ TEST(KbServerTest, InsertFactsSkipsMalformedEntries) {
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->GetNumber("inserted"), 1);
   EXPECT_EQ(response->GetNumber("skipped"), 2);
+}
+
+// ------------------------------------- write path: the log hook
+
+WireFact GlobexHire(const std::string& person) {
+  WireFact fact;
+  fact.s = person;
+  fact.p = "worksFor";
+  fact.o = "Globex";
+  return fact;
+}
+
+TEST(KbServerWritePathTest, ReadsAreAnsweredWhileTheLogHookIsParked) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false, release = false;
+  std::atomic<bool> hook_returned{false};
+  KbServer::Options options;
+  options.num_workers = 4;
+  options.pre_insert_hook = [&](const std::vector<WireFact>&) {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    // Bounded, so a server that blocks readers behind the hook fails
+    // the test instead of hanging it.
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+    hook_returned.store(true);
+    return Status::OK();
+  };
+  TestServer ts(options);
+
+  std::atomic<bool> write_ok{false};
+  std::thread writer([&] {
+    KbClient client = ts.Connect();
+    write_ok.store(client.InsertFacts({GlobexHire("Dee_Flynn")}).ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return entered; });
+  }
+  KbClient reader = ts.Connect();
+  auto card = reader.EntityCard("Acme_Corp");
+  auto point = reader.Query(WorksForQuery("Acme_Corp"), /*deadline_ms=*/-1,
+                            /*max_rows=*/-1, /*no_cache=*/true);
+  const bool answered_while_parked = !hook_returned.load();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  writer.join();
+
+  EXPECT_TRUE(entered);
+  ASSERT_TRUE(card.ok()) << card.status();
+  EXPECT_EQ(card->GetString("canonical"), "Acme_Corp");
+  ASSERT_TRUE(point.ok()) << point.status();
+  EXPECT_EQ(point->rows.size(), 2u);
+  EXPECT_TRUE(answered_while_parked)
+      << "readers waited for the replication hook";
+  EXPECT_TRUE(write_ok.load());
+  auto after = reader.Query(WorksForQuery("Globex"));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->rows.size(), 2u);
+}
+
+TEST(KbServerWritePathTest, FailingHookLeavesEpochAndKbUntouched) {
+  KbServer::Options options;
+  options.pre_insert_hook = [](const std::vector<WireFact>&) {
+    return Status::IOError("log device full");
+  };
+  TestServer ts(options);
+  KbClient client = ts.Connect();
+  const uint64_t epoch_before = ts.kb.epoch();
+  const size_t triples_before = ts.kb.NumTriples();
+
+  auto inserted = client.InsertFacts(
+      {GlobexHire("Dee_Flynn"), GlobexHire("Eve_Gray"), GlobexHire("Fay_Ho")});
+  ASSERT_FALSE(inserted.ok());
+  EXPECT_NE(inserted.status().message().find("replication log append"),
+            std::string::npos)
+      << inserted.status();
+
+  EXPECT_EQ(ts.kb.epoch(), epoch_before);
+  EXPECT_EQ(ts.kb.NumTriples(), triples_before);
+  auto rows = client.Query(WorksForQuery("Globex"), -1, -1,
+                           /*no_cache=*/true);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0], "kb:Cleo_Ray");
+  auto health = client.Health();
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(static_cast<uint64_t>(health->GetNumber("epoch")), epoch_before);
+}
+
+TEST(KbServerWritePathTest, AppendLatencyIsExportedAsReplAppendMs) {
+  std::atomic<int> appends{0};
+  KbServer::Options options;
+  options.pre_insert_hook = [&](const std::vector<WireFact>&) {
+    appends.fetch_add(1);
+    return Status::OK();
+  };
+  TestServer ts(options);
+  KbClient client = ts.Connect();
+  auto count = [] {
+    const MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
+    const HistogramSnapshot* h = snapshot.histogram("repl.append_ms");
+    return h == nullptr ? uint64_t{0} : h->count;
+  };
+  const uint64_t before = count();
+  ASSERT_TRUE(
+      client.InsertFacts({GlobexHire("Dee_Flynn"), GlobexHire("Eve_Gray")})
+          .ok());
+  EXPECT_EQ(appends.load(), 1);  // one hook call per batch
+  EXPECT_EQ(count(), before + 1);
+  auto text = client.MetricsText();
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("repl.append_ms"), std::string::npos);
 }
 
 // --------------------------------------------------- deadlines + caps

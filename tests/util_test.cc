@@ -486,6 +486,79 @@ TEST(ThreadPoolTest, ParallelForPropagatesException) {
   pool.Wait();  // pool still usable
 }
 
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnCall) {
+  // Three callers share one pool. The long one parks every index on a
+  // latch; the thrower and the short caller must both return while it
+  // is still parked, and only the thrower sees its exception.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> parked{0};
+  auto park = [&](size_t) {
+    parked.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::atomic<bool> long_threw{false};
+  std::thread long_caller([&] {
+    try {
+      pool.ParallelFor(2, park);
+    } catch (...) {
+      long_threw.store(true);
+    }
+  });
+  auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (parked.load() < 2 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (parked.load() != 2) {
+    release.store(true);
+    long_caller.join();
+    FAIL() << "the long call never parked both indices";
+  }
+
+  std::atomic<bool> thrower_threw{false}, thrower_done{false};
+  std::atomic<bool> short_threw{false}, short_done{false};
+  std::atomic<int> short_hits{0};
+  std::thread thrower([&] {
+    try {
+      pool.ParallelFor(4, [](size_t i) {
+        if (i == 1) throw std::runtime_error("thrower's own failure");
+      });
+    } catch (const std::runtime_error&) {
+      thrower_threw.store(true);
+    }
+    thrower_done.store(true);
+  });
+  std::thread short_caller([&] {
+    try {
+      pool.ParallelFor(8, [&](size_t) { short_hits.fetch_add(1); });
+    } catch (...) {
+      short_threw.store(true);
+    }
+    short_done.store(true);
+  });
+  until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!(thrower_done.load() && short_done.load()) &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_parked = thrower_done.load() && short_done.load();
+  release.store(true);
+  thrower.join();
+  short_caller.join();
+  long_caller.join();
+
+  EXPECT_TRUE(returned_while_parked)
+      << "a caller waited for another caller's tasks";
+  EXPECT_TRUE(thrower_threw.load());
+  EXPECT_FALSE(short_threw.load());
+  EXPECT_FALSE(long_threw.load());
+  EXPECT_EQ(short_hits.load(), 8);
+  pool.Wait();  // nothing leaked into the pool-wide exception slot
+}
+
 TEST(ThreadPoolTest, OversubscriptionCompletesAllTasks) {
   // Far more tasks than threads; every index must run exactly once.
   ThreadPool pool(2);
